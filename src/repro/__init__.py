@@ -51,12 +51,8 @@ from repro.core.registry import (
     CYCLE_FILTERS,
     EXTRACTORS,
     ILP_BACKENDS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
     Registry,
     SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
 )
 from repro.core.session import OptimizationSession
 from repro.core.stats import OptimizationStats
@@ -96,11 +92,7 @@ __all__ = [
     "CYCLE_FILTERS",
     "EXTRACTORS",
     "ILP_BACKENDS",
-    "MATCHERS",
-    "MULTIPATTERN_JOINS",
     "SCHEDULERS",
-    "SEARCH_EXECUTORS",
-    "SEARCH_MODES",
     # Optimization service
     "ResultCache",
     "ServiceClient",

@@ -15,12 +15,8 @@ from repro.core.registry import (
     CYCLE_FILTERS,
     EXTRACTORS,
     ILP_BACKENDS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
     Registry,
     SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
 )
 from repro.core.session import OptimizationSession, materialize_extraction
 from repro.core.stats import OptimizationStats
@@ -31,8 +27,6 @@ __all__ = [
     "CYCLE_FILTERS",
     "EXTRACTORS",
     "ILP_BACKENDS",
-    "MATCHERS",
-    "MULTIPATTERN_JOINS",
     "OptimizationObserver",
     "OptimizationResult",
     "OptimizationSession",
@@ -41,8 +35,6 @@ __all__ = [
     "RecordingObserver",
     "Registry",
     "SCHEDULERS",
-    "SEARCH_EXECUTORS",
-    "SEARCH_MODES",
     "TensatConfig",
     "TensatOptimizer",
     "compare",

@@ -15,16 +15,16 @@ benchmark harness (``benchmarks/common.py``) call.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.config import TensatConfig
+from repro.core.config import ConfigError, TensatConfig
 from repro.core.session import OptimizationResult, OptimizationSession
 from repro.costs.model import AnalyticCostModel, CostModel
 from repro.egraph.machine import TrieMatcher
 from repro.egraph.multipattern import MultiPatternSearcher
-from repro.egraph.parallel import ConfigError, ensure_picklable
 from repro.egraph.runner import collect_trie_patterns
 from repro.ir.graph import TensorGraph
 from repro.rules.library import RuleSet, default_ruleset
@@ -34,20 +34,36 @@ __all__ = ["ComparisonResult", "compare", "compile_shared_trie", "optimize_many"
 
 
 def compile_shared_trie(rules: RuleSet, config: TensatConfig) -> Optional[TrieMatcher]:
-    """Compile the rule trie one run under ``config`` would build, or None.
+    """Compile the rule trie one run over ``rules`` builds (None for no rules).
 
-    Returns ``None`` when ``config`` does not use trie search (the other
-    search paths keep per-run state that is cheap to build).  The result can
-    be passed to any number of :class:`OptimizationSession` s over the same
-    rules, as long as the sessions run one after another -- interleaving
-    steps of two sessions stays *correct* (the cache self-invalidates per
-    e-graph) but forfeits the delta-search speedup.
+    Every configuration searches with the same trie, so ``config`` does not
+    affect the result.  The result can be passed to any number of
+    :class:`OptimizationSession` s over the same rules, as long as the
+    sessions run one after another -- interleaving steps of two sessions
+    stays *correct* (the cache self-invalidates per e-graph) but forfeits
+    the delta-search speedup.
     """
-    if config.matcher != "vm" or config.search_mode != "trie":
-        return None
     searcher = MultiPatternSearcher(rules.multi_rewrites) if rules.multi_rewrites else None
     patterns, _keys = collect_trie_patterns(rules.rewrites, searcher)
     return TrieMatcher(patterns) if patterns else None
+
+
+def ensure_picklable(components: Mapping[str, object], context: str) -> None:
+    """Raise :class:`ConfigError` naming the first unpicklable component.
+
+    The process fan-out ships state across process boundaries with pickle; a
+    user-registered component holding a lambda or an open handle would
+    otherwise die with a traceback deep inside the pool machinery, far from
+    the configuration that caused it.
+    """
+    for name, value in components.items():
+        try:
+            pickle.dumps(value)
+        except Exception as exc:
+            raise ConfigError(
+                f"{context} requires picklable components, but {name} "
+                f"({type(value).__name__}) is not picklable: {exc}"
+            ) from exc
 
 
 class _SynchronizedObserver:

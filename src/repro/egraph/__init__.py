@@ -10,9 +10,7 @@ paper builds on top of ``egg`` (Willsey et al., 2020):
 * :mod:`repro.egraph.pattern`      -- patterns with variables, parsed from S-expressions.
 * :mod:`repro.egraph.ematch`       -- e-matching (pattern search over an e-graph).
 * :mod:`repro.egraph.machine`      -- the compiled e-matching virtual machine and
-  incremental (iteration-delta) search; see ``docs/ematching.md``.
-* :mod:`repro.egraph.checkcache`   -- memoized shape/condition checking with
-  generation invalidation; see ``docs/apply_plan.md``.
+  incremental (iteration-delta) rule-trie search; see ``docs/ematching.md``.
 * :mod:`repro.egraph.rewrite`      -- single-pattern rewrite rules.
 * :mod:`repro.egraph.multipattern` -- multi-pattern rewrite rules (paper Algorithm 1).
 * :mod:`repro.egraph.applier`      -- batched apply plans (dedup, bulk add, queued
@@ -25,15 +23,9 @@ paper builds on top of ``egg`` (Willsey et al., 2020):
 """
 
 from repro.egraph.applier import ApplyPlan, ApplyStats
-from repro.egraph.checkcache import (
-    ConditionChecker,
-    DirectConditionChecker,
-    MemoizedConditionChecker,
-)
 from repro.egraph.egraph import EClass, EGraph
 from repro.egraph.language import ENode, RecExpr
 from repro.egraph.machine import (
-    IncrementalMatcher,
     Program,
     RuleTrie,
     TrieMatcher,
@@ -41,7 +33,7 @@ from repro.egraph.machine import (
     compile_pattern,
 )
 from repro.egraph.pattern import Pattern, PatternNode, PatternVar
-from repro.egraph.rewrite import Rewrite
+from repro.egraph.rewrite import ConditionTimer, Rewrite
 from repro.egraph.multipattern import MultiPatternRewrite
 from repro.egraph.runner import Runner, RunnerLimits, RunnerReport, StopReason
 from repro.egraph.scheduler import BackoffScheduler, Scheduler, SimpleScheduler, make_scheduler
@@ -50,13 +42,10 @@ from repro.egraph.unionfind import UnionFind
 __all__ = [
     "ApplyPlan",
     "ApplyStats",
-    "ConditionChecker",
-    "DirectConditionChecker",
-    "MemoizedConditionChecker",
+    "ConditionTimer",
     "EClass",
     "EGraph",
     "ENode",
-    "IncrementalMatcher",
     "Program",
     "RuleTrie",
     "TrieMatcher",

@@ -17,12 +17,10 @@ first, then executes the whole plan against the e-graph in one pass:
   every RHS is added against a frozen union-find; the runner flushes the
   queue and triggers a *single* coordinated :meth:`EGraph.rebuild` per phase.
 
-Plan execution is deterministic (entries run in insertion order), which is
-what lets the naive matcher, the per-rule VM, and the shared-prefix trie
-produce bit-for-bit identical saturation trajectories: they hand the planner
-identical ordered match lists, and everything after that is matcher-blind.
-The same contract covers the two multi-pattern join implementations (hash
-and product), which hand the planner identical ordered combination lists.
+Plan execution is deterministic (entries run in insertion order), so the
+trajectory depends only on the ordered match lists the planner receives --
+which the rule trie and the hash join produce identically to their reference
+implementations (the naive matcher and the product join).
 
 See ``docs/apply_plan.md`` for the full plan/apply/rebuild story and
 ``docs/architecture.md`` for where it sits in the pipeline.

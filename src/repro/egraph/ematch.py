@@ -12,16 +12,15 @@ Three search paths live behind the same contract:
 * the **shared-prefix rule trie** (:class:`~repro.egraph.machine.TrieMatcher`),
   which merges every rule's program into one trie per root operator and
   matches all rules in a single traversal per op bucket -- the saturation
-  runner's default search mode;
+  runner's search;
 * the **naive backtracking matcher** (:func:`naive_search_pattern` /
   :func:`naive_search_eclass`), the original interpretive implementation that
   re-walks the pattern tree through recursive generators.  It is kept as the
-  executable specification: the equivalence tests and ``benchmarks/
-  bench_ematch.py`` check the compiled paths against it.
+  reference implementation: the equivalence tests, the oracle-parity test and
+  ``benchmarks/bench_ematch.py`` check the compiled paths against it.
 
 All three return the same canonical match sets in the same deterministic
-order (sorted by root e-class, then bindings), so they are interchangeable
-trajectory-for-trajectory in the saturation runner.
+order (sorted by root e-class, then bindings).
 """
 
 from __future__ import annotations

@@ -12,66 +12,42 @@ The application algorithm follows the paper:
    unique canonical patterns (so syntactically identical sources across rules
    and across the outputs of one rule are only e-matched once).
 2. Each iteration, run the single-pattern e-matcher on every canonical
-   pattern.  In the runner's default trie search mode the canonical patterns
-   are admitted into the shared-prefix rule trie, so their matches fall out
-   of the same one-traversal-per-op-bucket sweep that serves the
-   single-pattern rules (see ``docs/multipattern.md``).
+   pattern.  The runner admits the canonical patterns into its shared-prefix
+   rule trie, so their matches fall out of the same one-traversal-per-op-bucket
+   sweep that serves the single-pattern rules (see ``docs/multipattern.md``).
 3. For every rule, combine the (decanonicalized) matches of its source
    patterns: keep exactly the combinations whose shared variables map to the
    same e-class, and apply those.
 
-Step 3 has two interchangeable implementations behind
-:meth:`MultiPatternRewrite.combine`:
-
-* ``join="product"`` -- the executable specification: enumerate the full
-  Cartesian product of the per-source match lists and filter incompatible
-  combinations (paper Algorithm 1, lines 10--15 verbatim);
-* ``join="hash"`` (the runner's default) -- an indexed equi-join on the
-  shared-variable tuple: hash the smaller side, probe with the larger, and
-  chain joins in ascending match-count order for rules with three or more
-  sources.  The output list is bit-for-bit identical to the product path
-  (same combinations, same order, same ``max_combinations`` truncation), it
-  just never materialises the quadratic product.  ``docs/multipattern.md``
-  works through the algorithm and the order-parity argument.
+Step 3 is :meth:`MultiPatternRewrite.combine`, an indexed equi-join on the
+shared-variable tuple: hash the smaller side, probe with the larger, and
+chain joins in ascending match-count order for rules with three or more
+sources.  :meth:`MultiPatternRewrite._combine_product` is its reference
+implementation -- enumerate the full Cartesian product of the per-source
+match lists and filter incompatible combinations (paper Algorithm 1, lines
+10--15 verbatim) -- and the join must return the identical list (same
+combinations, same order, same ``max_combinations`` truncation) without
+materialising the quadratic product.  ``docs/multipattern.md`` works through
+the algorithm and the order-parity argument.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import Match, naive_search_pattern, search_pattern
+from repro.egraph.ematch import Match, search_pattern
+from repro.egraph.machine import TrieMatcher
 from repro.egraph.pattern import Pattern, Substitution
+from repro.egraph.rewrite import ConditionTimer
 
 __all__ = ["MultiMatch", "MultiPatternRewrite", "MultiPatternSearcher"]
 
-#: A multi-pattern rule's precondition.  Under the runner's default
-#: ``condition_cache="memo"`` a condition must be a pure function of the
-#: e-graph state of the e-classes the combination *binds* (its substitution
-#: values) -- not of the matched root classes or global e-graph state; see
-#: :mod:`repro.egraph.checkcache`.  Conditions that need the old
-#: re-evaluate-every-search behaviour require ``condition_cache="off"``.
+#: A multi-pattern rule's precondition, evaluated on every combination the
+#: join produces.
 MultiCondition = Callable[[EGraph, "MultiMatch"], bool]
-
-
-def _join_accepts_checker(join_fn) -> bool:
-    """Whether a registered join accepts the ``checker`` keyword.
-
-    Pre-checker joins (the four-argument registry signature) remain valid;
-    they just evaluate their conditions uncached.  Called once per rule per
-    combine, so the signature inspection is not worth caching (a cache keyed
-    on function objects would pin unregistered joins alive).
-    """
-    try:
-        parameters = inspect.signature(join_fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return "checker" in parameters or any(
-        p.kind == inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 @dataclass(frozen=True)
@@ -128,15 +104,6 @@ class MultiPatternRewrite:
         self.source_variables: Tuple[Tuple[str, ...], ...] = tuple(
             tuple(p.variables()) for p in self.sources
         )
-        # All source variables in first-appearance order: a combination binds
-        # exactly these, so condition-cache binding keys are built
-        # positionally in this order.
-        all_vars: List[str] = []
-        for per_source in self.source_variables:
-            for name in per_source:
-                if name not in all_vars:
-                    all_vars.append(name)
-        self.all_source_variables: Tuple[str, ...] = tuple(all_vars)
         # Cached for the apply planner: the variables the targets consume, in
         # a deterministic order (cycle-filter leaves and the dedup key).
         target_vars: List[str] = []
@@ -192,55 +159,28 @@ class MultiPatternRewrite:
                     return None
         return merged
 
-    def _condition_ok(self, egraph: EGraph, multi: MultiMatch, checker=None) -> bool:
-        """Evaluate (or recall) this rule's condition for one combination."""
+    def _condition_ok(
+        self, egraph: EGraph, multi: MultiMatch, timer: Optional[ConditionTimer] = None
+    ) -> bool:
+        """Evaluate this rule's condition for one combination."""
         if self.condition is None:
             return True
-        if checker is None:
+        if timer is None:
             return self.condition(egraph, multi)
-        return checker.check(id(self), self.condition, egraph, multi, self.all_source_variables)
-
-    def combine(
-        self,
-        egraph: EGraph,
-        per_source_matches: Sequence[Sequence[Match]],
-        max_combinations: Optional[int] = None,
-        join: str = "product",
-        checker=None,
-    ) -> List[MultiMatch]:
-        """Combine the per-source match lists into compatible :class:`MultiMatch` es.
-
-        ``join`` names an entry of the
-        :data:`repro.core.registry.MULTIPATTERN_JOINS` registry (built-ins:
-        ``"product"``, the executable spec enumerating the Cartesian product
-        and filtering, and ``"hash"``, an indexed equi-join on the shared
-        variables).  Every join must return the *same list* -- same
-        combinations, same order, same ``max_combinations`` truncation -- so
-        the saturation trajectory is join-blind; the equivalence is
-        property-tested in ``tests/test_multipattern.py``.
-
-        ``checker`` optionally memoizes the per-combination condition checks
-        (:mod:`repro.egraph.checkcache`); verdicts are binding-canonical, so
-        the combination lists are identical with or without it.  Registered
-        joins written against the pre-checker four-argument signature are
-        still supported: the checker is only passed to joins that accept it
-        (their conditions then evaluate uncached).
-        """
-        from repro.core.registry import MULTIPATTERN_JOINS
-
-        join_fn = MULTIPATTERN_JOINS.get(join)
-        if checker is not None and _join_accepts_checker(join_fn):
-            return join_fn(self, egraph, per_source_matches, max_combinations, checker=checker)
-        return join_fn(self, egraph, per_source_matches, max_combinations)
+        return timer.check(self.condition, egraph, multi)
 
     def _combine_product(
         self,
         egraph: EGraph,
         per_source_matches: Sequence[Sequence[Match]],
         max_combinations: Optional[int] = None,
-        checker=None,
+        timer: Optional[ConditionTimer] = None,
     ) -> List[MultiMatch]:
-        """Cartesian-product the per-source matches and keep compatible ones."""
+        """Cartesian-product the per-source matches and keep compatible ones.
+
+        The reference implementation of :meth:`combine` (paper Algorithm 1
+        verbatim); tests compare the join against it.
+        """
         combos: List[MultiMatch] = []
         count = 0
         for combination in itertools.product(*per_source_matches):
@@ -254,19 +194,22 @@ class MultiPatternRewrite:
             if merged is None:
                 continue
             multi = MultiMatch(eclasses=tuple(m.eclass for m in combination), subst=merged)
-            if not self._condition_ok(egraph, multi, checker):
+            if not self._condition_ok(egraph, multi, timer):
                 continue
             combos.append(multi)
         return combos
 
-    def _combine_hash(
+    def combine(
         self,
         egraph: EGraph,
         per_source_matches: Sequence[Sequence[Match]],
         max_combinations: Optional[int] = None,
-        checker=None,
+        timer: Optional[ConditionTimer] = None,
     ) -> List[MultiMatch]:
-        """Indexed join over the per-source matches; equals the product path.
+        """Combine the per-source match lists into compatible :class:`MultiMatch` es.
+
+        An indexed join over the per-source matches whose output equals
+        :meth:`_combine_product`'s, list for list.
 
         Sources join in ascending match-count order.  Each step equi-joins
         the accumulated partial combinations with the next source's matches
@@ -384,20 +327,15 @@ class MultiPatternRewrite:
             if self.skip_identical and k > 1 and len(set(eclasses)) == 1:
                 continue
             multi = MultiMatch(eclasses=eclasses, subst=subst)
-            if not self._condition_ok(egraph, multi, checker):
+            if not self._condition_ok(egraph, multi, timer):
                 continue
             combos.append(multi)
         return combos
 
-    def search(
-        self,
-        egraph: EGraph,
-        max_combinations: Optional[int] = None,
-        join: str = "product",
-    ) -> List[MultiMatch]:
+    def search(self, egraph: EGraph, max_combinations: Optional[int] = None) -> List[MultiMatch]:
         """Stand-alone search (used by tests); the runner goes through :class:`MultiPatternSearcher`."""
         per_source = [search_pattern(egraph, p) for p in self.sources]
-        return self.combine(egraph, per_source, max_combinations, join=join)
+        return self.combine(egraph, per_source, max_combinations)
 
     # ------------------------------------------------------------------ #
     # Application
@@ -439,15 +377,13 @@ class MultiPatternSearcher:
     The two halves are exposed separately so the runner can fuse the first
     into its trie sweep:
 
-    * :meth:`search_canonical` -- e-match every unique canonical pattern
-      (compiled VM with optional delta seeding, or the naive matcher);
-      alternatively the runner admits :meth:`canonical_patterns` into its
+    * :meth:`search_canonical` -- e-match every unique canonical pattern in
+      one rule-trie sweep; the runner instead admits
+      :meth:`canonical_patterns` into its own
       :class:`~repro.egraph.machine.TrieMatcher` and obtains the same match
-      lists from the single shared-prefix trie traversal that serves the
-      single-pattern rules;
+      lists from the traversal that serves the single-pattern rules;
     * :meth:`combine_matches` -- decanonicalize and join each rule's
-      per-source lists into :class:`MultiMatch` es (hash join by default in
-      the runner; Cartesian product as the executable spec).
+      per-source lists into :class:`MultiMatch` es.
 
     :meth:`search` chains the two for stand-alone use.
     """
@@ -466,10 +402,9 @@ class MultiPatternSearcher:
                 self._canonical_patterns.setdefault(key, canonical)
                 entries.append((key, rename_map))
             self._rule_sources.append(entries)
-        # One incremental matcher per unique canonical pattern, built on first
-        # use: the runner's default trie path obtains canonical matches from
-        # its own TrieMatcher and never needs these.
-        self._matchers: Dict[str, object] = {}
+        # Built on first stand-alone search: the runner obtains canonical
+        # matches from its own trie and never needs this one.
+        self._trie: Optional[TrieMatcher] = None
 
     @property
     def num_unique_patterns(self) -> int:
@@ -483,47 +418,24 @@ class MultiPatternSearcher:
         """
         return list(self._canonical_patterns.items())
 
-    def search_canonical(
-        self,
-        egraph: EGraph,
-        delta=None,
-        matcher: str = "vm",
-    ) -> Dict[str, List[Match]]:
-        """E-match every unique canonical source pattern once.
-
-        ``matcher`` selects the compiled VM (default) or the naive reference
-        matcher; with the VM, ``delta`` optionally restricts the search to the
-        e-classes dirtied since the previous call (plus cached matches).
-        """
-        if matcher == "naive":
-            return {
-                key: naive_search_pattern(egraph, pattern)
-                for key, pattern in self._canonical_patterns.items()
-            }
-        from repro.egraph.machine import IncrementalMatcher
-
-        for key, pattern in self._canonical_patterns.items():
-            if key not in self._matchers:
-                self._matchers[key] = IncrementalMatcher(pattern)
-        return {
-            key: self._matchers[key].search(egraph, delta=delta)
-            for key in self._canonical_patterns
-        }
+    def search_canonical(self, egraph: EGraph) -> Dict[str, List[Match]]:
+        """E-match every unique canonical source pattern once (one trie sweep)."""
+        if self._trie is None:
+            self._trie = TrieMatcher(list(self._canonical_patterns.values()))
+        return dict(zip(self._canonical_patterns, self._trie.search_all(egraph)))
 
     def combine_matches(
         self,
         egraph: EGraph,
         canonical_matches: Dict[str, List[Match]],
         max_combinations: Optional[int] = None,
-        join: str = "product",
-        checker=None,
+        timer: Optional[ConditionTimer] = None,
     ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
-        """Decanonicalize and combine per-rule; ``join`` / ``checker`` as in
-        :meth:`MultiPatternRewrite.combine`.
+        """Decanonicalize and :meth:`~MultiPatternRewrite.combine` per rule.
 
         ``canonical_matches`` maps each canonical pattern key (see
         :meth:`canonical_patterns`) to its match list, from whichever search
-        path produced it -- :meth:`search_canonical` or the runner's trie.
+        produced it -- :meth:`search_canonical` or the runner's trie.
         """
         results: List[Tuple[MultiPatternRewrite, List[MultiMatch]]] = []
         for rule, entries in zip(self.rules, self._rule_sources):
@@ -534,18 +446,11 @@ class MultiPatternSearcher:
                     for m in canonical_matches[key]
                 ]
                 per_source.append(decanonicalized)
-            combos = rule.combine(egraph, per_source, max_combinations, join=join, checker=checker)
-            results.append((rule, combos))
+            results.append((rule, rule.combine(egraph, per_source, max_combinations, timer)))
         return results
 
     def search(
-        self,
-        egraph: EGraph,
-        max_combinations: Optional[int] = None,
-        delta=None,
-        matcher: str = "vm",
-        join: str = "product",
+        self, egraph: EGraph, max_combinations: Optional[int] = None
     ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
         """One iteration's worth of matches for every rule (search + combine)."""
-        canonical_matches = self.search_canonical(egraph, delta=delta, matcher=matcher)
-        return self.combine_matches(egraph, canonical_matches, max_combinations, join=join)
+        return self.combine_matches(egraph, self.search_canonical(egraph), max_combinations)

@@ -10,23 +10,40 @@ Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+import time
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match, search_pattern
 from repro.egraph.pattern import Pattern
 
-__all__ = ["Rewrite", "bidirectional"]
+__all__ = ["ConditionTimer", "Rewrite", "bidirectional"]
 
-#: A rewrite's precondition.  Under the runner's default
-#: ``condition_cache="memo"`` a condition must be a pure function of the
-#: e-graph state of the e-classes its match *binds* (the substitution
-#: values, e.g. their analysis data) -- not of ``match.eclass`` or global
-#: e-graph state; see :mod:`repro.egraph.checkcache`.  Conditions that need
-#: the old re-evaluate-every-search behaviour require
-#: ``condition_cache="off"``.
+#: A rewrite's precondition, re-evaluated on every search: e-class analysis
+#: data can change between iterations, so a condition that once failed may
+#: later pass for the same canonical match.
 Condition = Callable[[EGraph, Match], bool]
+
+
+class ConditionTimer:
+    """Evaluates rewrite conditions, accumulating the time spent in them.
+
+    The runner passes one through every condition check of an iteration
+    (single-pattern filtering and the multi-pattern join) and reports the
+    total as ``condition_seconds``.
+    """
+
+    __slots__ = ("seconds",)
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+
+    def check(self, condition: Callable, egraph, match) -> bool:
+        t0 = time.perf_counter()
+        verdict = condition(egraph, match)
+        self.seconds += time.perf_counter() - t0
+        return verdict
 
 
 @dataclass
@@ -54,9 +71,6 @@ class Rewrite:
         # the identity/variables that determine the RHS instantiation (dedup key).
         self.rhs_variables: Tuple[str, ...] = tuple(self.rhs.variables())
         self.rhs_key: str = str(self.rhs)
-        # Cached for the condition-check cache: every match binds exactly the
-        # LHS variables, so binding keys are built positionally in this order.
-        self.lhs_variables: Tuple[str, ...] = tuple(self.lhs.variables())
 
     @classmethod
     def parse(
@@ -77,22 +91,16 @@ class Rewrite:
         """Find all matches of the source pattern (compiled VM)."""
         return self.filter_matches(egraph, search_pattern(egraph, self.lhs))
 
-    def filter_matches(self, egraph: EGraph, matches: List[Match], checker=None) -> List[Match]:
-        """Apply this rule's condition to a raw match list.
-
-        Without a ``checker``, conditions are re-evaluated on every search:
-        e-class analysis data can change between iterations, so a condition
-        that once failed may later pass for the same canonical match.  With a
-        :class:`~repro.egraph.checkcache.ConditionChecker` the verdicts are
-        memoized per canonical binding and invalidated when a bound class
-        changes, which yields the same match lists without the re-evaluation.
-        """
-        if self.condition is None:
+    def filter_matches(
+        self, egraph: EGraph, matches: List[Match], timer: Optional[ConditionTimer] = None
+    ) -> List[Match]:
+        """Apply this rule's condition to a raw match list (timed by ``timer``)."""
+        condition = self.condition
+        if condition is None:
             return list(matches)
-        if checker is None:
-            return [m for m in matches if self.condition(egraph, m)]
-        rule_key, condition, var_order = id(self), self.condition, self.lhs_variables
-        return [m for m in matches if checker.check(rule_key, condition, egraph, m, var_order)]
+        if timer is None:
+            return [m for m in matches if condition(egraph, m)]
+        return [m for m in matches if timer.check(condition, egraph, m)]
 
     def apply_match(self, egraph: EGraph, match: Match) -> Tuple[int, bool]:
         """Apply this rewrite at ``match``.

@@ -3,17 +3,14 @@
 The scheduling logic used to live inline in the runner's iteration loop.  It
 is now a strategy object consulted at two points of the pipeline:
 
-* **before search** -- :meth:`Scheduler.is_banned` decides whether a rule is
-  searched at all this iteration (a banned rule's matches are never even
-  computed on the per-rule paths; the trie path computes them as a byproduct
-  and discards them);
+* **before search** -- :meth:`Scheduler.is_banned` decides whether a rule's
+  matches are used this iteration (the rule trie computes them as a
+  byproduct of its shared traversal and the runner discards them);
 * **after search, before planning** -- :meth:`Scheduler.admit_matches` sees
   the rule's match count and either admits the matches into the apply plan
   or bans the rule for upcoming iterations.
 
-Scheduling decisions depend only on iteration numbers and match counts, and
-every matcher produces identical match lists, so the schedule -- and with it
-the saturation trajectory -- is matcher-independent.
+Scheduling decisions depend only on iteration numbers and match counts.
 
 Multi-pattern rules are *not* scheduled here: their budget is the runner's
 ``k_multi`` iteration window (see ``docs/multipattern.md``).  The pipeline
@@ -44,9 +41,9 @@ class Scheduler:
     def is_banned(self, rule_index: int, iteration: int) -> bool:
         """True when ``rule_index`` must not run in ``iteration``.
 
-        Consulted *before* the search phase: per-rule search paths skip
-        banned rules entirely; the trie computes their matches as a
-        byproduct of the shared traversal and the runner discards them.
+        Consulted *before* the search phase: the trie computes a banned
+        rule's matches as a byproduct of the shared traversal and the runner
+        discards them.
         """
         return False
 

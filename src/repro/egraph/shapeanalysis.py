@@ -30,10 +30,11 @@ function of the children facts.
 
 The analysis must uphold one contract for that fast path to be sound:
 **every fact it stores into an e-class is interned** (``make``, ``merge``
-and the seeding in ``EGraph.add`` all return interned objects).  An
-analysis advertising :attr:`TensorShapeAnalysis.compiled_conditions` makes
-that promise; the condition compiler falls back to the on-demand inference
-spec path for any other analysis.
+and the seeding in ``EGraph.add`` all return interned objects).  The
+condition compiler therefore runs its programs only over e-graphs whose
+analysis is a :class:`TensorShapeAnalysis`; anything else exposing
+``analysis_data`` (the TASO-style search's graph adapter) takes the
+on-demand inference path.
 """
 
 from __future__ import annotations
@@ -109,20 +110,10 @@ class TensorShapeAnalysis(Analysis):
     ----------
     strict:
         Raise on shape conflicts instead of recording them.
-    compiled_conditions:
-        Advertise the interned facts to :mod:`repro.rules.conditions`: when
-        True (the default) ``targets_shape_valid`` runs its compiled flat
-        programs over the per-class facts; when False conditions take the
-        on-demand inference path (the executable spec, the
-        ``shape_analysis="off"`` config setting).  The facts themselves are
-        maintained identically either way.
     """
 
-    def __init__(self, strict: bool = False, compiled_conditions: bool = True) -> None:
+    def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        #: Consulted by the condition compiler and the runner's
-        #: ``condition_cache="auto"`` resolution.
-        self.compiled_conditions = compiled_conditions
         #: Number of valid-vs-valid shape disagreements seen by ``merge``.
         self.n_conflicts = 0
         #: The most recent conflicting pair ``(kept, discarded)``.

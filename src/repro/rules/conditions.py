@@ -7,7 +7,8 @@ tensor e-class analysis data.
 
 Two evaluation paths exist behind :func:`targets_shape_valid`:
 
-* **Compiled** (the default with ``shape_analysis="on"``): at
+* **Compiled** (every e-graph carrying the
+  :class:`~repro.egraph.shapeanalysis.TensorShapeAnalysis`): at
   condition-construction time each target pattern is flattened into a
   post-order program over slots -- variable leaves load the binding's
   precomputed fact straight from ``egraph.analysis_data``, and only the
@@ -16,11 +17,12 @@ Two evaluation paths exist behind :func:`targets_shape_valid`:
   (:mod:`repro.egraph.shapeanalysis`), so repeated shapes across candidate
   bindings cost one dict probe.  Sub-terms shared across targets compile to
   one slot.
-* **Spec** (``shape_analysis="off"``, or any analysis that does not
-  advertise interned facts): :func:`_infer_term` re-runs bottom-up
-  inference per evaluation.  This is the executable specification; the
-  compiled path must return the identical verdict for every match (pinned
-  by the golden trajectory tests).
+* **Spec** (anything else exposing ``analysis_data``, e.g. the TASO-style
+  search's graph adapter, whose facts are not interned):
+  :func:`_infer_term` re-runs bottom-up inference per evaluation.  This is
+  the reference implementation; the compiled path must return the identical
+  verdict for every match (pinned by ``tests/test_conditions.py`` and the
+  oracle-parity test in ``tests/test_optimizer_golden.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
 from repro.egraph.multipattern import MultiMatch
 from repro.egraph.pattern import Pattern, PatternNode, PatternTerm, PatternVar
-from repro.egraph.shapeanalysis import intern_data
+from repro.egraph.shapeanalysis import TensorShapeAnalysis, intern_data
 from repro.ir.opspec import infer_symbol
 from repro.ir.tensor import DataKind, ShapeError, TensorData
 
@@ -57,7 +59,7 @@ def _infer_term(egraph: EGraph, subst: Dict[str, int], term: PatternTerm, memo: 
     ``key_of(term)``) shares the inference of repeated sub-terms within one
     evaluation.  Raises :class:`ShapeError` when the term is ill-typed.
 
-    This is the executable spec of the compiled program in
+    This is the reference implementation of the compiled program in
     :class:`TargetsShapeValid`; both paths must agree on every verdict.
     """
     key = key_of(term)
@@ -113,10 +115,9 @@ class TargetsShapeValid:
     ``split1`` around one merged operator chain), so the shared chain is
     evaluated once per match instead of once per target.
 
-    The compiled path runs only when the e-graph's analysis advertises
-    interned facts (``analysis.compiled_conditions``); otherwise the
-    on-demand :func:`_infer_term` spec path runs.  Verdicts are identical
-    either way (golden tests pin the trajectories bit-for-bit).
+    The compiled path runs only when the e-graph's analysis interns its
+    facts (a :class:`TensorShapeAnalysis`); otherwise the on-demand
+    :func:`_infer_term` spec path runs.  Verdicts are identical either way.
     """
 
     __slots__ = ("targets", "_roots", "_subterm_keys", "_instrs", "_root_slots")
@@ -167,12 +168,10 @@ class TargetsShapeValid:
         return self._subterm_keys[id(term)]
 
     def __call__(self, egraph: EGraph, match: AnyMatch) -> bool:
-        # Adapters (e.g. the TASO-style search's GraphAnalysisAdapter) expose
-        # only analysis_data/find; the compiled path additionally requires the
-        # analysis to advertise interned facts, so fall back to the spec path
-        # unless it does.
-        analysis = getattr(egraph, "analysis", None)
-        if getattr(analysis, "compiled_conditions", False):
+        # The compiled memo keys on fact ids, which is sound only for interned
+        # facts; adapters exposing just analysis_data/find (the TASO-style
+        # search's GraphAnalysisAdapter) take the spec path.
+        if isinstance(getattr(egraph, "analysis", None), TensorShapeAnalysis):
             return self._check_compiled(egraph, match.subst)
         return self._check_spec(egraph, match.subst)
 
@@ -206,7 +205,7 @@ class TargetsShapeValid:
             append(data)
         return True
 
-    # -- spec path (executable specification) --------------------------- #
+    # -- spec path (reference implementation) --------------------------- #
 
     def _check_spec(self, egraph: EGraph, subst: Dict[str, int]) -> bool:
         memo: Dict[str, TensorData] = {}

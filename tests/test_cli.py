@@ -21,26 +21,31 @@ class TestParser:
 
     def test_engine_knob_defaults(self):
         args = build_parser().parse_args(["optimize", "--model", "nasrnn"])
-        assert args.matcher == "vm"
-        assert args.search_mode == "trie"
         assert args.scheduler == "simple"
+        assert args.cycle_filter == "efficient"
 
     def test_engine_knobs_parse(self):
         args = build_parser().parse_args(
             [
                 "optimize", "--model", "nasrnn",
-                "--matcher", "naive",
-                "--search-mode", "per-rule",
                 "--scheduler", "backoff",
+                "--cycle-filter", "vanilla",
             ]
         )
-        assert args.matcher == "naive"
-        assert args.search_mode == "per-rule"
         assert args.scheduler == "backoff"
+        assert args.cycle_filter == "vanilla"
 
+    # --matcher and --search-mode (like --multipattern-join, --condition-cache,
+    # --shape-analysis, --jobs and --search-executor) no longer exist: the
+    # search path is not selectable, so the parser rejects them outright.
     @pytest.mark.parametrize("flag,value", [
         ("--matcher", "regex"),
         ("--search-mode", "hash"),
+        ("--multipattern-join", "product"),
+        ("--condition-cache", "memo"),
+        ("--shape-analysis", "off"),
+        ("--jobs", "2"),
+        ("--search-executor", "thread"),
         ("--scheduler", "adaptive"),
     ])
     def test_invalid_engine_knobs_rejected(self, flag, value):
@@ -82,6 +87,8 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["speedup_percent"] >= 0
+        for key in ("condition_cache_hits", "condition_cache_misses", "search_shards"):
+            assert key not in payload
         assert payload["enodes"] > 0
         # The phase breakdown of exploration time is part of the JSON contract.
         for key in ("search_seconds", "apply_seconds", "rebuild_seconds"):
@@ -101,8 +108,6 @@ class TestCommands:
                 "--node-limit", "800",
                 "--iter-limit", "3",
                 "--extraction", "greedy",
-                "--matcher", "naive",
-                "--search-mode", "per-rule",
                 "--scheduler", "backoff",
                 "--json",
             ]

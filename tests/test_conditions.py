@@ -139,11 +139,9 @@ class TestConvConditions:
 class TestCompiledSpecParity:
     """The compiled condition programs must agree with on-demand inference.
 
-    ``egraph_from_graph(..., shape_analysis=True)`` advertises the interned
-    per-class facts, so ``targets_shape_valid`` takes its compiled path;
-    ``shape_analysis=False`` forces the on-demand inference spec path.  Both
-    e-graphs are built from the same graph, so matches carry identical
-    substitutions and every verdict must coincide.
+    On an e-graph carrying the tensor shape analysis ``targets_shape_valid``
+    takes its compiled path; ``_check_spec`` is the on-demand inference
+    reference implementation.  Every verdict must coincide.
     """
 
     PATTERNS = [
@@ -162,22 +160,16 @@ class TestCompiledSpecParity:
 
     @pytest.mark.parametrize("cols", [(32, 48), (32, 32)])
     def test_verdicts_match_on_every_binding(self, cols):
-        g = matmul_pair_graph(*cols)
-        compiled_eg, _ = egraph_from_graph(g, shape_analysis=True)
-        spec_eg, _ = egraph_from_graph(g, shape_analysis=False)
-        assert compiled_eg.analysis.compiled_conditions
-        assert not spec_eg.analysis.compiled_conditions
+        eg, _ = egraph_from_graph(matmul_pair_graph(*cols))
         checked = 0
         for pattern_text in self.PATTERNS:
-            pattern = Pattern.parse(pattern_text)
-            compiled_matches = search_pattern(compiled_eg, pattern)
-            spec_matches = search_pattern(spec_eg, pattern)
-            assert [m.subst for m in compiled_matches] == [m.subst for m in spec_matches]
+            matches = search_pattern(eg, Pattern.parse(pattern_text))
             for targets in self.TARGETS:
                 cond = targets_shape_valid([Pattern.parse(t) for t in targets])
-                for cm, sm in zip(compiled_matches, spec_matches):
-                    assert cond(compiled_eg, cm) == cond(spec_eg, sm), (
-                        f"compiled/spec divergence for {targets} on {cm.subst}"
+                for m in matches:
+                    compiled = cond._check_compiled(eg, m.subst)
+                    assert cond(eg, m) == compiled == cond._check_spec(eg, m.subst), (
+                        f"compiled/spec divergence for {targets} on {m.subst}"
                     )
                     checked += 1
         assert checked > 0

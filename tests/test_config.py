@@ -1,8 +1,22 @@
 """Tests for TensatConfig and OptimizationStats."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import OptimizationStats, TensatConfig
+from repro.egraph.runner import RunnerLimits
+
+#: Search-path knobs retired in favour of the one search path.
+REMOVED_KNOBS = {
+    "matcher": "naive",
+    "search_mode": "per-rule",
+    "multipattern_join": "product",
+    "condition_cache": "memo",
+    "shape_analysis": "off",
+    "search_jobs": 2,
+    "search_executor": "thread",
+}
 
 
 class TestTensatConfig:
@@ -40,18 +54,28 @@ class TestTensatConfig:
 
     def test_invalid_engine_knobs_rejected(self):
         with pytest.raises(ValueError):
-            TensatConfig(matcher="regex")
-        with pytest.raises(ValueError):
-            TensatConfig(search_mode="hash")
-        with pytest.raises(ValueError):
             TensatConfig(scheduler="adaptive")
+
+    @pytest.mark.parametrize("knob", sorted(REMOVED_KNOBS))
+    def test_removed_search_knobs_are_not_fields(self, knob):
+        with pytest.raises(TypeError):
+            TensatConfig(**{knob: REMOVED_KNOBS[knob]})
+        assert knob not in {f.name for f in fields(RunnerLimits)}
+
+    def test_condition_cache_is_not_a_config_field(self):
+        # Condition verdicts are always evaluated; there is no cache kind to pick.
+        with pytest.raises(TypeError):
+            TensatConfig(condition_cache="lru")
+
+    def test_condition_cache_is_not_a_runner_limits_field(self):
+        with pytest.raises(TypeError):
+            RunnerLimits(condition_cache="bogus")
 
     def test_engine_defaults(self):
         cfg = TensatConfig()
-        assert cfg.matcher == "vm"
-        assert cfg.search_mode == "trie"
         assert cfg.scheduler == "simple"
         assert cfg.delta_matching
+        assert len(fields(TensatConfig)) == 22
 
     def test_nonpositive_limits_rejected(self):
         with pytest.raises(ValueError):

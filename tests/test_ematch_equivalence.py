@@ -3,8 +3,9 @@
 The compiled virtual machine (:mod:`repro.egraph.machine`) must return
 exactly the same canonical match set as the interpretive backtracking matcher
 for every rule in the library, on clean e-graphs, on dirty e-graphs (pending
-unions mid-iteration), and through incremental (delta-seeded) searches.
-These tests treat the naive matcher as the executable specification.
+unions mid-iteration), and through incremental (delta-seeded) trie
+searches.  These tests treat the naive matcher as the reference
+implementation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.egraph.machine import (
     COMPARE,
     LOOKUP,
     YIELD,
-    IncrementalMatcher,
     TrieMatcher,
     build_rule_trie,
     compile_pattern,
@@ -202,9 +202,8 @@ class TestEquivalenceProperties:
         egraph = build_from_script(trees, union_seeds)
         egraph.rebuild()
 
-        matchers = [IncrementalMatcher(p) for p in SOURCE_PATTERNS]
-        for matcher in matchers:
-            matcher.search(egraph)  # populate caches with a full search
+        matcher = TrieMatcher(SOURCE_PATTERNS)
+        matcher.search_all(egraph)  # populate caches with a full search
         egraph.take_dirty()
 
         # Grow the e-graph: new terms plus a union, then rebuild.
@@ -215,10 +214,9 @@ class TestEquivalenceProperties:
         egraph.rebuild()
         delta = egraph.take_dirty()
 
-        for matcher in matchers:
-            incremental = matcher.search(egraph, delta=delta)
-            full = naive_search_pattern(egraph, matcher.pattern)
-            assert incremental == full, str(matcher.pattern)
+        incremental = matcher.search_all(egraph, delta=delta)
+        for pattern, matches in zip(SOURCE_PATTERNS, incremental):
+            assert matches == naive_search_pattern(egraph, pattern), str(pattern)
 
     def test_union_at_max_variable_depth_creates_match_incrementally(self):
         """Regression: a union of classes bound by a repeated variable at the
@@ -228,8 +226,8 @@ class TestEquivalenceProperties:
         egraph = EGraph()
         egraph.add_term("(ewadd (ewmul a b) (ewmul c d))")
         pattern = Pattern.parse("(ewadd (ewmul ?x ?z) (ewmul ?y ?z))")
-        matcher = IncrementalMatcher(pattern)
-        assert matcher.search(egraph) == []  # b != d: the repeated ?z fails
+        matcher = TrieMatcher([pattern])
+        assert matcher.search_all(egraph) == [[]]  # b != d: the repeated ?z fails
         egraph.take_dirty()
 
         b = egraph.add_term("b")
@@ -238,7 +236,7 @@ class TestEquivalenceProperties:
         egraph.rebuild()
         delta = egraph.take_dirty()
 
-        incremental = matcher.search(egraph, delta=delta)
+        (incremental,) = matcher.search_all(egraph, delta=delta)
         full = naive_search_pattern(egraph, pattern)
         assert incremental == full
         assert len(incremental) == 1
@@ -250,7 +248,7 @@ class TestEquivalenceProperties:
 
 
 def assert_trie_equivalent(egraph, patterns, trie_matcher=None, delta=None):
-    """The trie's per-rule lists must equal the per-rule VM and naive lists."""
+    """The trie's per-rule lists must equal each pattern's own VM and naive lists."""
     matcher = trie_matcher if trie_matcher is not None else TrieMatcher(patterns)
     all_matches = matcher.search_all(egraph, delta=delta)
     assert len(all_matches) == len(patterns)

@@ -1,10 +1,10 @@
 """Tests for multi-pattern rewrites (paper Algorithm 1).
 
-The hash-join tests treat the Cartesian-product combine as the executable
-specification: for every scenario -- hand-built and property-generated --
-``combine(join="hash")`` must return a list *identical* to
-``combine(join="product")``, element for element and in the same order,
-because the saturation trajectory depends on that order.
+The hash-join tests treat the Cartesian-product combine as the reference
+implementation: for every scenario -- hand-built and property-generated --
+``combine`` must return a list *identical* to ``_combine_product``, element
+for element and in the same order, because the saturation trajectory depends
+on that order.
 """
 
 import time
@@ -12,8 +12,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_parity import OracleParityObserver
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import search_pattern
+from repro.egraph.ematch import naive_search_pattern, search_pattern
 from repro.egraph.language import RecExpr
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
 from repro.egraph.runner import Runner, RunnerLimits
@@ -158,7 +159,7 @@ class TestSearcherSharing:
 
 
 # --------------------------------------------------------------------- #
-# Hash join == Cartesian product (the executable spec)
+# Hash join == Cartesian product (the reference implementation)
 # --------------------------------------------------------------------- #
 
 
@@ -184,8 +185,8 @@ def zero_shared_rule(condition=None):
 
 def assert_join_equals_product(egraph, rule, max_combinations=None):
     per_source = [search_pattern(egraph, p) for p in rule.sources]
-    product = rule.combine(egraph, per_source, max_combinations, join="product")
-    hashed = rule.combine(egraph, per_source, max_combinations, join="hash")
+    product = rule._combine_product(egraph, per_source, max_combinations)
+    hashed = rule.combine(egraph, per_source, max_combinations)
     assert hashed == product  # same combinations, same order
     return product
 
@@ -283,12 +284,6 @@ class TestHashJoinEqualsProduct:
         eg.add_term("(relu a)")  # no sqrt anywhere: one source has no matches
         assert assert_join_equals_product(eg, zero_shared_rule()) == []
 
-    def test_unknown_join_rejected(self):
-        eg, _ = shared_input_egraph()
-        rule = matmul_merge_rule()
-        with pytest.raises(ValueError):
-            rule.combine(eg, [[], []], join="nested-loop")
-
 
 # --------------------------------------------------------------------- #
 # Property-based: join == product on random e-graphs
@@ -334,86 +329,61 @@ class TestHashJoinProperties:
     @given(join_egraphs())
     @settings(max_examples=20, deadline=None)
     def test_searcher_join_equals_product_on_random_egraphs(self, egraph):
+        """Canonical sharing + trie search + hash join == naive search + product."""
         searcher = MultiPatternSearcher(JOIN_RULES)
-        canonical = searcher.search_canonical(egraph)
-        product = searcher.combine_matches(egraph, canonical, join="product")
-        hashed = searcher.combine_matches(egraph, canonical, join="hash")
-        assert hashed == product
+        for rule, combos in searcher.search(egraph):
+            per_source = [naive_search_pattern(egraph, p) for p in rule.sources]
+            product = rule._combine_product(egraph, per_source)
+            assert len(combos) == len(product)
+            assert {_combo_key(c) for c in combos} == {_combo_key(c) for c in product}
+
+
+def _combo_key(multi):
+    return multi.eclasses, frozenset(multi.subst.items())
 
 
 # --------------------------------------------------------------------- #
-# Runner trajectory parity: join mode and search path are invisible
+# Runner parity: every iteration's counts equal the reference implementations
 # --------------------------------------------------------------------- #
 
 
-def _runner_trajectory(**limit_overrides):
-    eg = EGraph()
-    eg.add_term(
-        "(noop (relu (matmul 0 x w1)) (sqrt (matmul 0 x w2)) (matmul 0 x w3))"
-    )
-    limits = RunnerLimits(iter_limit=4, k_multi=2, node_limit=4_000, **limit_overrides)
-    runner = Runner(
-        eg,
-        rewrites=[],
-        multi_rewrites=[matmul_merge_rule(), three_source_rule()],
-        limits=limits,
-    )
-    report = runner.run()
-    return (
-        report.stop_reason,
-        report.n_enodes,
-        report.n_eclasses,
-        tuple(it.n_matches for it in report.iterations),
-        tuple(it.n_applied for it in report.iterations),
-        tuple(it.n_deduped for it in report.iterations),
-    )
+def _run_with_oracle(eg, rewrites, multi_rewrites, **limit_overrides):
+    limits = RunnerLimits(**limit_overrides)
+    oracle = OracleParityObserver(rewrites, multi_rewrites, k_multi=limits.k_multi)
+    report = Runner(
+        eg, rewrites=rewrites, multi_rewrites=multi_rewrites, limits=limits, observers=[oracle]
+    ).run()
+    assert oracle.iterations_checked == report.num_iterations
+    return oracle
 
 
-class TestRunnerJoinParity:
-    def test_hash_and_product_runs_identical(self):
-        assert _runner_trajectory(multipattern_join="hash") == _runner_trajectory(
-            multipattern_join="product"
+class TestRunnerOracleParity:
+    def test_multi_rules_match_oracles(self):
+        eg = EGraph()
+        eg.add_term("(noop (relu (matmul 0 x w1)) (sqrt (matmul 0 x w2)) (matmul 0 x w3))")
+        oracle = _run_with_oracle(
+            eg,
+            [],
+            [matmul_merge_rule(), three_source_rule()],
+            iter_limit=4, k_multi=2, node_limit=4_000,
         )
+        assert oracle.total_matches > 0
 
-    def test_all_search_paths_identical_with_multi_rules(self):
-        golden = _runner_trajectory(matcher="naive")
-        assert _runner_trajectory(matcher="vm", search_mode="per-rule") == golden
-        assert _runner_trajectory(matcher="vm", search_mode="trie") == golden
-
-    def test_trie_admission_with_single_and_multi_rules(self):
-        """Multi canonical sources ride the same trie as single-rule LHSs."""
+    def test_trie_admission_with_single_and_multi_rules(self, shared_matmul_graph):
+        """Multi canonical sources ride the same trie as single-rule LHSs;
+        the tensor analysis makes the shape conditions admit real matches."""
+        from repro.ir.convert import egraph_from_graph
         from repro.rules import default_ruleset
 
         ruleset = default_ruleset()
-        records = {}
-        for mode in ("naive", "per-rule", "trie"):
-            eg = EGraph()
-            eg.add_term("(noop (matmul 0 x w1) (matmul 0 x w2))")
-            limits = RunnerLimits(
-                iter_limit=3,
-                k_multi=1,
-                node_limit=3_000,
-                matcher="vm" if mode != "naive" else "naive",
-                search_mode=mode if mode != "naive" else "trie",
-            )
-            runner = Runner(
-                eg,
-                rewrites=ruleset.rewrites,
-                multi_rewrites=ruleset.multi_rewrites,
-                limits=limits,
-            )
-            report = runner.run()
-            records[mode] = (
-                report.n_enodes,
-                tuple(it.n_matches for it in report.iterations),
-                tuple(it.n_applied for it in report.iterations),
-            )
-        assert records["per-rule"] == records["naive"]
-        assert records["trie"] == records["naive"]
-
-    def test_runner_rejects_unknown_join(self):
-        with pytest.raises(ValueError):
-            Runner(EGraph(), limits=RunnerLimits(multipattern_join="zip"))
+        eg, _root = egraph_from_graph(shared_matmul_graph)
+        oracle = _run_with_oracle(
+            eg,
+            ruleset.rewrites,
+            ruleset.multi_rewrites,
+            iter_limit=3, k_multi=1, node_limit=3_000,
+        )
+        assert oracle.total_matches > 0
 
     def test_multi_join_seconds_reported(self):
         eg, _ = shared_input_egraph()

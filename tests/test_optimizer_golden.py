@@ -1,148 +1,45 @@
-"""Golden regression tests: every search path reproduces the naive path.
+"""Oracle parity: the one search path reproduces its reference implementations.
 
-For a few small seed models, the optimizer is run with the naive interpretive
-matcher (the reference), the per-rule compiled e-matching VM + delta search,
-and the shared-prefix rule trie.  All three search the same frozen e-graph
-each iteration and return identical ordered match lists, so the exploration
-trajectories must coincide *bit-for-bit*: same match counts, same apply plan,
-same e-graph growth, same stop reason, same extracted cost.  Any divergence
-means a search path changed the semantics of the pipeline, not just its
-speed.
+For a few small seed models, every exploration iteration is re-derived with
+the reference implementations only -- the naive interpretive matcher, the
+Cartesian-product multi-pattern join, and on-demand shape inference for
+conditions -- and each rule's condition-filtered match count must equal the
+count the runner's rule trie, hash join and compiled conditions produced on
+the same frozen e-graph (:class:`oracle_parity.OracleParityObserver`).  A
+divergence means a fast path changed the semantics of the pipeline, not just
+its speed.  ``tests/test_golden_refactor.py`` pins the resulting
+trajectories themselves.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from oracle_parity import OracleParityObserver
 from repro.core.config import TensatConfig
 from repro.core.optimizer import TensatOptimizer
+from repro.core.session import OptimizationSession
 from repro.models import build_model
+from repro.rules.library import default_ruleset
 
 #: Small, fast exploration budgets; golden tests check equivalence, not scale.
-GOLDEN_CASES = [
-    # (model, config overrides)
-    ("nasrnn", dict(extraction="greedy")),
-    ("resnext", dict(extraction="greedy", k_multi=2)),
-    ("squeezenet", dict(extraction="ilp", ilp_time_limit=20.0)),
-]
-
 BASE = dict(node_limit=2_000, iter_limit=5, k_multi=1)
 
-#: The three search paths behind the one pipeline contract.
-SEARCH_PATHS = [
-    ("vm-per-rule", dict(matcher="vm", search_mode="per-rule")),
-    ("vm-trie", dict(matcher="vm", search_mode="trie")),
-]
-
-
-def _golden_record(model: str, overrides: dict, **search_path) -> dict:
-    config = TensatConfig(**{**BASE, **overrides, **search_path})
-    graph = build_model(model, "tiny")
-    result = TensatOptimizer(config=config).optimize(graph)
-    report = result.runner_report
-    return {
-        "num_enodes": result.stats.num_enodes,
-        "original_cost": result.stats.original_cost,
-        "optimized_cost": result.stats.optimized_cost,
-        "stop_reason": result.stats.stop_reason,
-        # Finer-grained trajectory data: any matcher divergence shows up here
-        # before it shows up in the headline numbers.
-        "iterations": report.num_iterations,
-        "per_iteration_matches": tuple(it.n_matches for it in report.iterations),
-        "per_iteration_applied": tuple(it.n_applied for it in report.iterations),
-        "per_iteration_deduped": tuple(it.n_deduped for it in report.iterations),
-        "per_iteration_enodes": tuple(it.n_enodes for it in report.iterations),
-    }
-
 
 @pytest.mark.slow
-@pytest.mark.parametrize("model,overrides", GOLDEN_CASES, ids=[m for m, _ in GOLDEN_CASES])
-def test_vm_paths_reproduce_naive_golden_record(model, overrides):
-    golden = _golden_record(model, overrides, matcher="naive")
-    for name, search_path in SEARCH_PATHS:
-        record = _golden_record(model, overrides, **search_path)
-        assert record == golden, name
-
-
-@pytest.mark.slow
-def test_multipattern_hash_join_reproduces_product_golden_record():
-    """The indexed multi-pattern join must not change the nasrnn trajectory.
-
-    ``multipattern_join="product"`` is the executable spec (Algorithm 1's
-    Cartesian product + filter); the hash join must walk the identical
-    trajectory bit-for-bit, with multi-pattern rules active long enough
-    (k_multi=2) for the join to matter.
-    """
-    overrides = dict(extraction="greedy", k_multi=2)
-    golden = _golden_record("nasrnn", overrides, multipattern_join="product")
-    record = _golden_record("nasrnn", overrides, multipattern_join="hash")
-    assert record == golden
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("model", ["nasrnn", "resnext"])
-def test_condition_cache_off_matches_on(model):
-    """The condition-check cache must not change the trajectory.
-
-    ``condition_cache="off"`` evaluates every shape/condition check directly;
-    the memoizing cache must walk the identical trajectory bit-for-bit --
-    generation invalidation means a cached verdict is only served while the
-    bound e-classes are unchanged, so a divergence here is a stale verdict.
-    k_multi=2 keeps multi-pattern combination checks (the hot path the cache
-    targets) active across a rebuild boundary.
-    """
-    overrides = dict(extraction="greedy", k_multi=2)
-    golden = _golden_record(model, overrides, condition_cache="off")
-    record = _golden_record(model, overrides, condition_cache="memo")
-    assert record == golden
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("model", ["nasrnn", "resnext"])
-def test_shape_analysis_off_matches_on(model):
-    """Compiled per-class shape facts must not change the trajectory.
-
-    ``shape_analysis="off"`` re-runs bottom-up shape inference per candidate
-    binding (the executable spec); ``"on"`` reads precomputed interned facts
-    from the e-class analysis and runs compiled flat programs for the target
-    spine.  Inference is a pure function of the bound classes' facts, so
-    every condition verdict -- and therefore the whole trajectory -- must be
-    bit-for-bit identical.  A divergence here means the analysis served a
-    stale or wrongly-merged fact.  k_multi=2 keeps the multi-pattern
-    combination checks (the hot path the analysis targets) active.
-    ``condition_cache`` is pinned to "off" on both sides so this test
-    isolates the analysis (the "auto" default resolves differently per
-    side).
-    """
-    overrides = dict(extraction="greedy", k_multi=2, condition_cache="off")
-    golden = _golden_record(model, overrides, shape_analysis="off")
-    record = _golden_record(model, overrides, shape_analysis="on")
-    assert record == golden
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("model", ["nasrnn", "resnext"])
-def test_birth_stamps_bit_identical_across_search_paths(model):
-    """Node birth stamps must not depend on the search path.
-
-    Regression for the eager ``next()`` default in ``EGraph._repair``: every
-    repaired parent burned a birth stamp even when the canonical node
-    inherited one, so stamps (which cycle filtering uses to pick the newest
-    node) depended on rebuild order.  With the fix, the full
-    ``node -> stamp`` map is bit-for-bit identical across matcher=naive,
-    matcher=vm (per-rule), and the trie search mode.
-    """
-    from repro.core.session import OptimizationSession
-
-    def birth_map(**search_path):
-        config = TensatConfig(**{**BASE, "extraction": "greedy", **search_path})
-        session = OptimizationSession(build_model(model, "tiny"), config=config)
-        session.explore()
-        return dict(session.egraph._node_birth)
-
-    golden = birth_map(matcher="naive")
-    assert birth_map(matcher="vm", search_mode="per-rule") == golden
-    assert birth_map(matcher="vm", search_mode="trie") == golden
+@pytest.mark.parametrize("model", ["nasrnn", "resnext", "squeezenet"])
+def test_search_path_matches_oracles_every_iteration(model):
+    """k_multi=2 keeps the multi-pattern join and its conditions active
+    across a rebuild boundary."""
+    rules = default_ruleset()
+    oracle = OracleParityObserver(rules.rewrites, rules.multi_rewrites, k_multi=2)
+    config = TensatConfig(**{**BASE, "k_multi": 2, "extraction": "greedy"})
+    session = OptimizationSession(
+        build_model(model, "tiny"), rules=rules, config=config, observers=[oracle]
+    )
+    report = session.explore()
+    assert oracle.iterations_checked == report.num_iterations > 1
+    assert oracle.total_matches > 0
 
 
 @pytest.mark.slow

@@ -5,7 +5,7 @@ import pytest
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
 from repro.egraph.language import RecExpr
-from repro.egraph.rewrite import Rewrite, bidirectional
+from repro.egraph.rewrite import ConditionTimer, Rewrite, bidirectional
 from repro.egraph.runner import Runner, RunnerLimits, StopReason
 
 
@@ -68,6 +68,25 @@ class TestApply:
         Rewrite.parse("check", "(* ?x 2)", "(<< ?x 1)", condition=cond).search(eg)
         assert len(seen) == 1
         assert isinstance(seen[0], Match)
+
+    def test_condition_timer_evaluates_every_check(self):
+        # No verdict cache: a repeated binding is evaluated again, and the
+        # time spent is accounted.
+        calls = []
+
+        def cond(egraph, match):
+            calls.append(match)
+            return True
+
+        eg = EGraph()
+        eg.add_term("(* a 2)")
+        rw = Rewrite.parse("check", "(* ?x 2)", "(<< ?x 1)", condition=cond)
+        timer = ConditionTimer()
+        matches = rw.search(eg)
+        calls.clear()
+        assert rw.filter_matches(eg, matches + matches, timer) == matches + matches
+        assert len(calls) == 2
+        assert timer.seconds > 0.0
 
 
 class TestRunner:

@@ -192,6 +192,25 @@ class TestRequestCore:
         )
         assert response["ok"] is False and response["error"]["type"] == "config"
 
+    @pytest.mark.parametrize("field,value", [
+        ("matcher", "naive"),
+        ("search_mode", "per-rule"),
+        ("multipattern_join", "product"),
+        ("condition_cache", "memo"),
+        ("shape_analysis", "off"),
+        ("search_jobs", 2),
+        ("search_executor", "thread"),
+    ])
+    def test_removed_search_knob_is_config_error(self, field, value):
+        # The search path is no longer selectable; clients still sending
+        # one of its old knobs get a typed error naming the field.
+        response = handle(
+            OptimizationService(),
+            {"op": "optimize", "graph": graph_to_doc(small_graph()), "config": {field: value}},
+        )
+        assert response["ok"] is False and response["error"]["type"] == "config"
+        assert field in response["error"]["message"]
+
     def test_queue_full_fails_fast(self):
         service = OptimizationService(ServiceConfig(max_concurrency=1, queue_limit=0))
         service._admitted = 1  # as if one request were already running

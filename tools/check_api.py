@@ -39,43 +39,21 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import repro  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
 from repro.core import config as config_module  # noqa: E402
-from repro.core.registry import (  # noqa: E402
-    CONDITION_CACHES,
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
-    SHAPE_ANALYSES,
-)
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS  # noqa: E402
 from repro.models import MODEL_NAMES  # noqa: E402
 
 #: CLI argument dest -> the registry its choices must equal.
 CLI_REGISTRY_KNOBS = {
-    "matcher": MATCHERS,
-    "search_mode": SEARCH_MODES,
-    "search_executor": SEARCH_EXECUTORS,
     "scheduler": SCHEDULERS,
-    "multipattern_join": MULTIPATTERN_JOINS,
-    "condition_cache": CONDITION_CACHES,
-    "shape_analysis": SHAPE_ANALYSES,
     "extraction": EXTRACTORS,
     "cycle_filter": CYCLE_FILTERS,
 }
 
 #: config-module snapshot tuple -> the registry it snapshots.
 CONFIG_SNAPSHOTS = {
-    "MATCHER_CHOICES": MATCHERS,
     "SCHEDULER_CHOICES": SCHEDULERS,
-    "SEARCH_MODE_CHOICES": SEARCH_MODES,
-    "SEARCH_EXECUTOR_CHOICES": SEARCH_EXECUTORS,
-    "MULTIPATTERN_JOIN_CHOICES": MULTIPATTERN_JOINS,
-    "CONDITION_CACHE_CHOICES": CONDITION_CACHES,
     "CYCLE_FILTER_CHOICES": CYCLE_FILTERS,
     "EXTRACTION_CHOICES": EXTRACTORS,
-    "SHAPE_ANALYSIS_CHOICES": SHAPE_ANALYSES,
 }
 
 
