@@ -8,8 +8,8 @@ on both.
 
 On top of the paper's comparison this module records the extraction-at-scale
 instrumentation (see docs/extraction.md): the dominated-node prune ratio,
-cold- versus warm-started ILP wall time, cold- versus warm-started BnB on
-NasRNN, and the portfolio extractor's winning stage -- all persisted to
+cold- versus warm-started ILP wall time, and cold- versus warm-started runs of
+the reference branch and bound on NasRNN -- all persisted to
 ``benchmarks/results/table4_extraction.json`` (uploaded as a CI artifact).
 """
 
@@ -19,16 +19,17 @@ import pytest
 
 from benchmarks.common import bench_scale, cost_model, format_table, tensat_config, write_result
 from repro.core import OptimizationSession
+from repro.egraph.extraction.bnb import solve_branch_and_bound
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.extraction.portfolio import PortfolioExtractor
+from repro.egraph.extraction.problem import build_extraction_problem, warm_start_solution
 from repro.ir.convert import recexpr_to_graph
 from repro.models import build_model
 
 TABLE4_MODELS = ["bert", "nasrnn", "nasnet"]
 
-#: BnB is the pure-Python exact backend; on bench-scale problems it only gets
-#: a slice this long (the point is the warm/cold comparison, not optimality).
+#: BnB is the pure-Python reference solver; on bench-scale problems it only
+#: gets this long (the point is the warm/cold comparison, not optimality).
 BNB_TIME_LIMIT = 10.0
 
 
@@ -36,6 +37,21 @@ def _timed_extract(extractor, egraph, root):
     start = time.perf_counter()
     result = extractor.extract(egraph, root)
     return result, time.perf_counter() - start
+
+
+def _timed_bnb(egraph, root, node_cost, flist, warm):
+    """Solve with the reference branch and bound, cold or pruned + warm-started."""
+    start = time.perf_counter()
+    problem = build_extraction_problem(
+        egraph, root, node_cost, filter_list=flist, prune_dominated=warm, collapse_singletons=warm
+    )
+    incumbent = warm_start_solution(problem) if warm else None
+    result = solve_branch_and_bound(
+        problem.c, problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq,
+        problem.lower, problem.upper, problem.integrality,
+        time_limit=BNB_TIME_LIMIT, incumbent=incumbent,
+    )
+    return result, incumbent is not None, time.perf_counter() - start
 
 
 def _generate_table4():
@@ -71,13 +87,6 @@ def _generate_table4():
         warm_res, warm_s = _timed_extract(warm, egraph, root)
         warm_cost = cm.graph_cost(recexpr_to_graph(warm_res.expr))
 
-        portfolio_res, portfolio_s = _timed_extract(
-            PortfolioExtractor(
-                node_cost, deadline=ilp_time_limit, filter_list=flist, mip_rel_gap=0.01
-            ),
-            egraph, root,
-        )
-
         rows.append([
             model, f"{original:.4f}", f"{greedy_cost:.4f}", f"{warm_cost:.4f}",
             f"{warm.last_solve_info.prune_ratio:.2f}x", f"{cold_s:.2f}s", f"{warm_s:.2f}s",
@@ -95,29 +104,20 @@ def _generate_table4():
             "num_variables_warm": warm.last_solve_info.num_variables,
             "warm_started": warm.last_solve_info.warm_started,
             "extraction_stages": {k: round(v, 4) for k, v in warm_res.stages.items()},
-            "portfolio_cost_ms": cm.graph_cost(recexpr_to_graph(portfolio_res.expr)),
-            "portfolio_seconds": portfolio_s,
-            "portfolio_status": portfolio_res.status,
         }
 
         if model == "nasrnn":
             # BnB cold-vs-warm on the model the paper's Table 4 centres on:
             # the greedy incumbent lets the search prune from the first node.
-            bnb_cold = ILPExtractor(
-                node_cost, filter_list=flist, backend="bnb", time_limit=BNB_TIME_LIMIT,
-                reduce_problem=False, warm_start=False,
+            bnb_cold, _, bnb_cold_s = _timed_bnb(egraph, root, node_cost, flist, warm=False)
+            bnb_warm, incumbent_used, bnb_warm_s = _timed_bnb(
+                egraph, root, node_cost, flist, warm=True
             )
-            _, bnb_cold_s = _timed_extract(bnb_cold, egraph, root)
-            bnb_warm = ILPExtractor(
-                node_cost, filter_list=flist, backend="bnb", time_limit=BNB_TIME_LIMIT,
-                reduce_problem=True, warm_start=True,
-            )
-            _, bnb_warm_s = _timed_extract(bnb_warm, egraph, root)
             data[model]["bnb_cold_seconds"] = bnb_cold_s
             data[model]["bnb_warm_seconds"] = bnb_warm_s
-            data[model]["bnb_cold_status"] = bnb_cold.last_solve_info.status
-            data[model]["bnb_warm_status"] = bnb_warm.last_solve_info.status
-            data[model]["bnb_warm_incumbent_used"] = bnb_warm.last_solve_info.warm_started
+            data[model]["bnb_cold_status"] = bnb_cold.status
+            data[model]["bnb_warm_status"] = bnb_warm.status
+            data[model]["bnb_warm_incumbent_used"] = incumbent_used
 
     table = format_table(
         ["model", "original (ms)", "greedy (ms)", "ILP (ms)", "prune", "ILP cold", "ILP warm"],
@@ -134,7 +134,6 @@ def _check_table4(data):
         assert entry["ilp_cost_ms"] <= entry["original_cost_ms"] + 1e-9
         # Warm-starting and pruning are optimum-preserving.
         assert entry["ilp_cost_ms"] == pytest.approx(entry["ilp_cold_cost_ms"], rel=0.02)
-        assert entry["portfolio_cost_ms"] <= entry["greedy_cost_ms"] + 1e-9
     # Dominated-node pruning must actually shrink the NasRNN variable space.
     assert data["nasrnn"]["prune_ratio"] > 1.0
     assert data["nasrnn"]["num_variables_warm"] < data["nasrnn"]["num_variables_cold"]

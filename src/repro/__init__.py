@@ -50,7 +50,6 @@ from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
 from repro.core.registry import (
     CYCLE_FILTERS,
     EXTRACTORS,
-    ILP_BACKENDS,
     Registry,
     SCHEDULERS,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "Registry",
     "CYCLE_FILTERS",
     "EXTRACTORS",
-    "ILP_BACKENDS",
     "SCHEDULERS",
     # Optimization service
     "ResultCache",

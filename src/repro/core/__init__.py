@@ -14,7 +14,6 @@ from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
 from repro.core.registry import (
     CYCLE_FILTERS,
     EXTRACTORS,
-    ILP_BACKENDS,
     Registry,
     SCHEDULERS,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ConfigError",
     "CYCLE_FILTERS",
     "EXTRACTORS",
-    "ILP_BACKENDS",
     "OptimizationObserver",
     "OptimizationResult",
     "OptimizationSession",

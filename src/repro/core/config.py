@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, SCHEDULERS
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
 
 __all__ = [
     "TensatConfig",
@@ -38,7 +39,6 @@ _KNOB_REGISTRIES = (
     ("extraction", EXTRACTORS),
     ("scheduler", SCHEDULERS),
     ("cycle_filter", CYCLE_FILTERS),
-    ("ilp_backend", ILP_BACKENDS),
 )
 
 
@@ -88,27 +88,18 @@ class TensatConfig:
     # ------------------------------------------------------------------ #
     # Extraction
     # ------------------------------------------------------------------ #
-    #: "ilp", "greedy", or "portfolio" (anytime greedy -> BnB -> ILP race
-    #: under ``extraction_deadline``; see docs/extraction.md).
+    #: "ilp" (HiGHS, greedy fallback) or "greedy"; see docs/extraction.md.
     extraction: str = "ilp"
     #: Prune dominated e-nodes and fix singleton e-classes before solving
     #: (optimum-preserving; shrinks the ILP variable space).
     extraction_prune: bool = True
-    #: Seed the exact solvers from the greedy solution (BnB incumbent /
-    #: objective cutoff for HiGHS).  Optimum-preserving.
+    #: Seed the ILP from the greedy solution (objective cutoff for HiGHS,
+    #: and the answer when the solver returns nothing).  Optimum-preserving.
     ilp_warm_start: bool = True
-    #: Total wall-clock budget in seconds for extraction="portfolio".
-    extraction_deadline: float = 60.0
     #: Include the topological-order (cycle) constraints in the ILP.
     ilp_cycle_constraints: bool = False
-    #: Use integer instead of real topological-order variables.
-    ilp_integer_topo: bool = False
-    #: ILP solver time limit in seconds (paper: 3600).
+    #: ILP solver time limit in seconds (paper: 3600); the only extraction budget.
     ilp_time_limit: float = 3600.0
-    #: "scipy" (HiGHS) or "bnb" (pure-Python branch and bound).
-    ilp_backend: str = "scipy"
-    #: Fall back to greedy extraction when the ILP solver fails or times out.
-    ilp_fallback_to_greedy: bool = True
     #: Relative MIP optimality gap (0 = prove optimality, as the paper's SCIP setup does).
     ilp_mip_gap: float = 0.0
 
@@ -133,16 +124,17 @@ class TensatConfig:
             raise ValueError("k_multi must be non-negative")
         if (
             self.cycle_filter == "none"
-            and self.extraction in ("ilp", "portfolio")
+            and self.extraction == "ilp"
             and not self.ilp_cycle_constraints
         ):
             raise ValueError(
                 "with cycle_filter='none' the ILP needs cycle constraints "
                 "(set ilp_cycle_constraints=True) or extraction may return a cyclic graph"
             )
-        if self.extraction_deadline <= 0:
+        # HiGHS answers an invalid time limit by solving with no limit at all.
+        if not (math.isfinite(self.ilp_time_limit) and self.ilp_time_limit > 0):
             raise ValueError(
-                f"extraction_deadline must be positive, got {self.extraction_deadline}"
+                f"ilp_time_limit must be positive and finite, got {self.ilp_time_limit}"
             )
 
     def with_overrides(self, **kwargs) -> "TensatConfig":

@@ -8,20 +8,18 @@ Two extractors are provided, matching the paper's Section 5:
   optimum (paper Section 6.5, Table 4).
 * :class:`~repro.egraph.extraction.ilp.ILPExtractor` -- 0/1 integer linear
   program over e-node selection variables, optionally with topological-order
-  variables that forbid cycles (paper constraints (1)-(5)).
-* :class:`~repro.egraph.extraction.portfolio.PortfolioExtractor` -- anytime
-  racer (greedy -> BnB -> ILP) under a wall-clock deadline, returning the best
-  feasible result with per-stage provenance (see ``docs/extraction.md``).
+  variables that forbid cycles (paper constraints (1)-(5)), solved by HiGHS.
 
-All extractors run on top of the shared problem-reduction pass in
+The ILP runs on top of the problem-reduction pass in
 :mod:`repro.egraph.extraction.problem` (dominated-node pruning + singleton
-collapse) and can be warm-started from the greedy solution.
+collapse) and is warm-started from the greedy solution.
+:func:`~repro.egraph.extraction.bnb.solve_branch_and_bound` is a pure-Python
+reference solver that tests compare HiGHS against (see ``docs/extraction.md``).
 """
 
 from repro.egraph.extraction.base import ExtractionResult, Extractor
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.extraction.portfolio import PortfolioExtractor
 from repro.egraph.extraction.problem import ReductionStats, build_extraction_problem, warm_start_solution
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "Extractor",
     "GreedyExtractor",
     "ILPExtractor",
-    "PortfolioExtractor",
     "ReductionStats",
     "build_extraction_problem",
     "warm_start_solution",

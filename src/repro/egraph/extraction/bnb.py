@@ -1,7 +1,9 @@
 """A small pure-Python branch-and-bound 0/1 MILP solver.
 
-This is the fallback backend for :class:`~repro.egraph.extraction.ilp.ILPExtractor`
-(the primary backend is ``scipy.optimize.milp`` / HiGHS).  It solves::
+This is a reference solver: tests compare the HiGHS optimum that
+:class:`~repro.egraph.extraction.ilp.ILPExtractor` finds against it on
+problems from :func:`~repro.egraph.extraction.problem.build_extraction_problem`.
+It solves::
 
     min  c @ x
     s.t. A_ub @ x <= b_ub
@@ -10,9 +12,8 @@ This is the fallback backend for :class:`~repro.egraph.extraction.ilp.ILPExtract
          x_i integer for integrality_i == 1
 
 by LP-relaxation branch and bound using :func:`scipy.optimize.linprog` for the
-relaxations.  It is intended for the small e-graphs exercised in unit tests
-and as an independent cross-check of the HiGHS results, not for production
-sized problems.
+relaxations.  It is meant for the small e-graphs exercised in unit tests,
+not for production sized problems.
 """
 
 from __future__ import annotations

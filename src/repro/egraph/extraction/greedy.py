@@ -91,5 +91,4 @@ class GreedyExtractor(Extractor):
             solve_seconds=seconds,
             status="ok",
             stages={"greedy": seconds},
-            stage_costs={"greedy": cost},
         )

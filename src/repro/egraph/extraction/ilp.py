@@ -8,8 +8,8 @@ program.  The paper's formulation is reproduced exactly, including:
   integer order variables (Table 5 ablation),
 * the filter-list constraints ``x_i = 0`` for e-nodes removed by cycle
   filtering (Section 5.2),
-* a solver time limit (the paper uses 1 hour with SCIP; here the default
-  backend is HiGHS through :func:`scipy.optimize.milp`).
+* a solver time limit (the paper uses 1 hour with SCIP; here the solver is
+  HiGHS through :func:`scipy.optimize.milp`).
 
 Two extraction-at-scale levers sit on top (see ``docs/extraction.md``):
 
@@ -17,10 +17,14 @@ Two extraction-at-scale levers sit on top (see ``docs/extraction.md``):
   are pruned and the forced singleton chain from the root is fixed before the
   solver sees the problem (:func:`~repro.egraph.extraction.problem.build_extraction_problem`);
 * **warm starting** (``warm_start``, default on): the greedy solution is
-  computed on the reduced problem and seeds the solve -- the ``bnb`` backend
-  takes it as its starting incumbent, and the HiGHS backend (which scipy
+  computed on the reduced problem and seeds the solve -- HiGHS (which scipy
   exposes without a MIP-start hook) gets an objective-cutoff row
   ``c @ x <= greedy_cost`` that prunes everything the incumbent already beats.
+  When the solver returns nothing (say, at its time limit) the incumbent is
+  the answer.
+
+Extraction never raises on a solver failure: without an incumbent it falls
+back to greedy extraction on the full e-graph.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from repro.egraph.cycles import FilterList
 from repro.egraph.egraph import EGraph
 from repro.egraph.extraction.base import ExtractionResult, Extractor, NodeCost, build_recexpr, dag_cost
-from repro.egraph.extraction.bnb import solve_branch_and_bound
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.problem import ILPProblem, build_extraction_problem, warm_start_solution
 from repro.egraph.language import ENode
@@ -56,7 +59,6 @@ class ILPSolveInfo:
     solve_seconds: float
     num_variables: int
     num_constraints: int
-    backend: str
     #: True when a greedy warm start seeded this solve.
     warm_started: bool = False
     #: Objective of the warm-start incumbent (None when solving cold).
@@ -82,12 +84,6 @@ class ILPExtractor(Extractor):
         E-nodes excluded by cycle filtering (forced to ``x_i = 0``).
     time_limit:
         Solver wall-clock limit in seconds (paper: 3600).
-    backend:
-        ``"scipy"`` (HiGHS via ``scipy.optimize.milp``) or ``"bnb"`` (the
-        pure-Python branch-and-bound fallback).
-    fallback_to_greedy:
-        On solver failure/timeout, fall back to greedy extraction instead of
-        raising, so end-to-end optimization always returns a graph.
     mip_rel_gap:
         Relative optimality gap passed to the MIP solver; 0 demands a proven
         optimum, small positive values trade a bounded amount of optimality
@@ -96,8 +92,8 @@ class ILPExtractor(Extractor):
         Prune dominated e-nodes and fix the singleton chain before solving
         (optimum-preserving; see :mod:`repro.egraph.extraction.problem`).
     warm_start:
-        Seed the solver from the greedy solution (incumbent for ``bnb``,
-        objective cutoff for ``scipy``).  Optimum-preserving.
+        Seed the solver from the greedy solution (an objective cutoff, and
+        the answer when the solver returns nothing).  Optimum-preserving.
     """
 
     def __init__(
@@ -107,21 +103,15 @@ class ILPExtractor(Extractor):
         integer_topo: bool = False,
         filter_list: Optional[FilterList] = None,
         time_limit: float = 3600.0,
-        backend: str = "scipy",
-        fallback_to_greedy: bool = True,
         mip_rel_gap: float = 0.0,
         reduce_problem: bool = True,
         warm_start: bool = True,
     ) -> None:
-        if backend not in ("scipy", "bnb"):
-            raise ValueError(f"unknown ILP backend {backend!r}; expected 'scipy' or 'bnb'")
         self.node_cost = node_cost
         self.with_cycle_constraints = with_cycle_constraints
         self.integer_topo = integer_topo
         self.filter_list = filter_list
         self.time_limit = time_limit
-        self.backend = backend
-        self.fallback_to_greedy = fallback_to_greedy
         self.mip_rel_gap = mip_rel_gap
         self.reduce_problem = reduce_problem
         self.warm_start = warm_start
@@ -141,7 +131,7 @@ class ILPExtractor(Extractor):
             collapse_singletons=self.reduce_problem,
         )
 
-    def _solve_scipy(self, problem: ILPProblem, cutoff: Optional[float] = None):
+    def _solve(self, problem: ILPProblem, cutoff: Optional[float] = None):
         constraints = [
             LinearConstraint(problem.a_ub, -np.inf, problem.b_ub),
             LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq),
@@ -174,30 +164,12 @@ class ILPExtractor(Extractor):
         status = {1: "iteration_or_time_limit", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
         return None, float("inf"), status
 
-    def _solve_bnb(self, problem: ILPProblem, incumbent=None):
-        res = solve_branch_and_bound(
-            problem.c,
-            problem.a_ub,
-            problem.b_ub,
-            problem.a_eq,
-            problem.b_eq,
-            problem.lower,
-            problem.upper,
-            problem.integrality,
-            time_limit=self.time_limit,
-            incumbent=incumbent,
-        )
-        if res.x is not None:
-            return res.x, res.objective, "optimal" if res.status == "optimal" else res.status
-        return None, float("inf"), res.status
-
     # ------------------------------------------------------------------ #
 
     def extract(self, egraph: EGraph, root: int) -> ExtractionResult:
         t0 = time.perf_counter()
         root = egraph.find(root)
         stages: Dict[str, float] = {}
-        stage_costs: Dict[str, float] = {}
 
         problem = self.build_problem(egraph, root)
         stages["prune"] = time.perf_counter() - t0
@@ -208,18 +180,10 @@ class ILPExtractor(Extractor):
             t_warm = time.perf_counter()
             warm = warm_start_solution(problem)
             stages["greedy"] = time.perf_counter() - t_warm
-            if warm is not None:
-                stage_costs["greedy"] = warm[1]
 
         t_solve = time.perf_counter()
-        if self.backend == "scipy":
-            x, objective, status = self._solve_scipy(
-                problem, cutoff=warm[1] if warm is not None else None
-            )
-        else:
-            x, objective, status = self._solve_bnb(problem, incumbent=warm)
-        stage_name = "ilp" if self.backend == "scipy" else "bnb"
-        stages[stage_name] = time.perf_counter() - t_solve
+        x, objective, status = self._solve(problem, cutoff=warm[1] if warm is not None else None)
+        stages["ilp"] = time.perf_counter() - t_solve
 
         solve_seconds = time.perf_counter() - t0
         self.last_solve_info = ILPSolveInfo(
@@ -228,7 +192,6 @@ class ILPExtractor(Extractor):
             solve_seconds=solve_seconds,
             num_variables=problem.num_variables,
             num_constraints=problem.a_ub.shape[0] + problem.a_eq.shape[0],
-            backend=self.backend,
             warm_started=warm is not None,
             warm_start_objective=warm[1] if warm is not None else None,
             prune_ratio=problem.reduction.variable_ratio if problem.reduction else 1.0,
@@ -240,20 +203,17 @@ class ILPExtractor(Extractor):
             x, objective, status = warm[0], warm[1], f"{status}_warm_incumbent"
 
         if x is None:
-            if self.fallback_to_greedy:
-                greedy = GreedyExtractor(self.node_cost, filter_list=self.filter_list)
-                result = greedy.extract(egraph, root)
-                result.status = f"ilp_{status}_greedy_fallback"
-                result.solve_seconds = solve_seconds + result.solve_seconds
-                result.stages = {**stages, **result.stages}
-                result.reduction = reduction
-                return result
-            raise RuntimeError(f"ILP extraction failed: solver status {status!r}")
+            greedy = GreedyExtractor(self.node_cost, filter_list=self.filter_list)
+            result = greedy.extract(egraph, root)
+            result.status = f"ilp_{status}_greedy_fallback"
+            result.solve_seconds = solve_seconds + result.solve_seconds
+            result.stages = {**stages, **result.stages}
+            result.reduction = reduction
+            return result
 
         choices = self._choices_from_solution(egraph, problem, x)
         expr = build_recexpr(egraph, root, choices)
         cost = dag_cost(egraph, root, choices, self.node_cost)
-        stage_costs[stage_name] = cost
         return ExtractionResult(
             expr=expr,
             cost=cost,
@@ -261,7 +221,6 @@ class ILPExtractor(Extractor):
             solve_seconds=solve_seconds,
             status=status,
             stages=stages,
-            stage_costs=stage_costs,
             reduction=reduction,
         )
 

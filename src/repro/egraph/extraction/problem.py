@@ -1,9 +1,9 @@
 """Construction of the extraction ILP (paper Section 5.1, constraints (1)-(5)).
 
 The problem is built once as plain numpy/scipy-sparse data so it can be handed
-to either solver backend (:mod:`scipy.optimize.milp` or the pure-Python
-branch-and-bound in :mod:`repro.egraph.extraction.bnb`), and so tests can
-inspect the formulation directly.
+to :mod:`scipy.optimize.milp` (or the pure-Python reference branch-and-bound
+in :mod:`repro.egraph.extraction.bnb`), and so tests can inspect the
+formulation directly.
 
 Two optional *problem-reduction* passes shrink the variable space before any
 solver runs (see ``docs/extraction.md``):

@@ -38,6 +38,8 @@ class TestParser:
     # --matcher and --search-mode (like --multipattern-join, --condition-cache,
     # --shape-analysis, --jobs and --search-executor) no longer exist: the
     # search path is not selectable, so the parser rejects them outright.
+    # Likewise --extraction-deadline and --extraction portfolio: extraction
+    # is greedy or the ILP, bounded by --ilp-time-limit.
     @pytest.mark.parametrize("flag,value", [
         ("--matcher", "regex"),
         ("--search-mode", "hash"),
@@ -47,6 +49,8 @@ class TestParser:
         ("--jobs", "2"),
         ("--search-executor", "thread"),
         ("--scheduler", "adaptive"),
+        ("--extraction-deadline", "5"),
+        ("--extraction", "portfolio"),
     ])
     def test_invalid_engine_knobs_rejected(self, flag, value):
         with pytest.raises(SystemExit):

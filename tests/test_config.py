@@ -7,7 +7,8 @@ import pytest
 from repro.core import OptimizationStats, TensatConfig
 from repro.egraph.runner import RunnerLimits
 
-#: Search-path knobs retired in favour of the one search path.
+#: Search and extraction knobs retired in favour of one search path and one
+#: extraction path.
 REMOVED_KNOBS = {
     "matcher": "naive",
     "search_mode": "per-rule",
@@ -16,6 +17,10 @@ REMOVED_KNOBS = {
     "shape_analysis": "off",
     "search_jobs": 2,
     "search_executor": "thread",
+    "extraction_deadline": 5.0,
+    "ilp_backend": "bnb",
+    "ilp_fallback_to_greedy": False,
+    "ilp_integer_topo": True,
 }
 
 
@@ -48,10 +53,6 @@ class TestTensatConfig:
         with pytest.raises(ValueError):
             TensatConfig(cycle_filter="sometimes")
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            TensatConfig(ilp_backend="gurobi")
-
     def test_invalid_engine_knobs_rejected(self):
         with pytest.raises(ValueError):
             TensatConfig(scheduler="adaptive")
@@ -75,7 +76,7 @@ class TestTensatConfig:
         cfg = TensatConfig()
         assert cfg.scheduler == "simple"
         assert cfg.delta_matching
-        assert len(fields(TensatConfig)) == 22
+        assert len(fields(TensatConfig)) == 18
 
     def test_nonpositive_limits_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +85,12 @@ class TestTensatConfig:
             TensatConfig(iter_limit=0)
         with pytest.raises(ValueError):
             TensatConfig(k_multi=-1)
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_ilp_time_limit_rejected(self, limit):
+        # HiGHS would otherwise solve with no time limit at all.
+        with pytest.raises(ValueError, match="ilp_time_limit"):
+            TensatConfig(ilp_time_limit=limit)
 
     def test_no_cycle_handling_at_all_is_rejected(self):
         # cycle_filter="none" + ILP without cycle constraints could extract a cyclic graph.

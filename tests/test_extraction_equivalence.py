@@ -1,8 +1,8 @@
 """Property suite: the extraction strategies agree on random small e-graphs.
 
-The three strategies form a quality ladder -- greedy is a heuristic, BnB and
-the HiGHS ILP are exact -- and the problem-reduction pass must never move the
-optimum.  Costs are drawn as small integers so "same cost" is exact float
+Greedy, the HiGHS ILP and the pure-Python reference branch and bound form a
+quality ladder -- greedy is a heuristic, the other two are exact -- and the
+problem-reduction pass must never move the optimum.  Costs are drawn as small integers so "same cost" is exact float
 equality (sums of small ints are exactly representable), letting the
 pruned-vs-unpruned property assert bit-for-bit equality rather than an
 approximate match.
@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import sexpr as sx
 from repro.egraph.egraph import EGraph
+from repro.egraph.extraction.base import ExtractionResult, build_recexpr, dag_cost
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
 from repro.egraph.extraction.problem import build_extraction_problem, warm_start_solution
+from test_extraction_ilp import solve_reference
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -68,6 +70,22 @@ def cost_fn(costs):
     return lambda enode, egraph: float(costs.get(enode.op, 1))
 
 
+def reference_extract(eg, root, nc):
+    """Extract with the reference branch and bound on the ILP's reduced problem."""
+    problem = build_extraction_problem(
+        eg, root, nc, with_cycle_constraints=True, prune_dominated=True, collapse_singletons=True
+    )
+    res = solve_reference(problem)
+    assert res.status == "optimal"
+    choices = ILPExtractor._choices_from_solution(eg, problem, res.x)
+    return ExtractionResult(
+        expr=build_recexpr(eg, root, choices),
+        cost=dag_cost(eg, root, choices, nc),
+        choices=choices,
+        status=res.status,
+    )
+
+
 def selection_is_acyclic_and_complete(eg, root, result):
     """Walk the extracted choices from the root: every class chosen, no cycle."""
     seen = set()
@@ -98,11 +116,11 @@ class TestStrategyEquivalence:
         eg, root, costs = instance
         nc = cost_fn(costs)
         greedy = GreedyExtractor(nc).extract(eg, root)
-        bnb = ILPExtractor(nc, backend="bnb", with_cycle_constraints=True).extract(eg, root)
-        ilp = ILPExtractor(nc, backend="scipy", with_cycle_constraints=True).extract(eg, root)
+        bnb = reference_extract(eg, root, nc)
+        ilp = ILPExtractor(nc, with_cycle_constraints=True).extract(eg, root)
         assert ilp.cost <= bnb.cost + 1e-9
         assert bnb.cost <= greedy.cost + 1e-9
-        # Both exact backends prove the same optimum.
+        # HiGHS and the reference solver prove the same optimum.
         assert ilp.cost == pytest.approx(bnb.cost)
 
     @given(egraph_instances())
@@ -112,8 +130,8 @@ class TestStrategyEquivalence:
         nc = cost_fn(costs)
         for result in (
             GreedyExtractor(nc).extract(eg, root),
-            ILPExtractor(nc, backend="bnb", with_cycle_constraints=True).extract(eg, root),
-            ILPExtractor(nc, backend="scipy", with_cycle_constraints=True).extract(eg, root),
+            reference_extract(eg, root, nc),
+            ILPExtractor(nc, with_cycle_constraints=True).extract(eg, root),
         ):
             # build_recexpr already raises on a cyclic selection; re-verify
             # the invariant independently over the raw choices.

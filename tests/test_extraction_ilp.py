@@ -1,21 +1,34 @@
-"""Tests for ILP extraction (formulation, backends, cycle constraints, filter list)."""
+"""Tests for ILP extraction (formulation, reference solver, cycle constraints, filter list)."""
 
 import numpy as np
 import pytest
 
+from repro.core.config import TensatConfig
+from repro.core.events import PhaseTimingObserver, RecordingObserver
+from repro.core.session import OptimizationSession
 from repro.egraph.cycles import EfficientCycleFilter, FilterList
 from repro.egraph.egraph import EGraph
+from repro.egraph.extraction.bnb import solve_branch_and_bound
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.extraction.problem import build_extraction_problem
+from repro.egraph.extraction.problem import build_extraction_problem, warm_start_solution
 from repro.egraph.language import ENode
 from repro.egraph.multipattern import MultiPatternRewrite
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import Runner, RunnerLimits
+from repro.models import build_model
 
 
 def cost_table(table, default=1.0):
     return lambda enode, egraph: table.get(enode.op, default)
+
+
+def solve_reference(problem, **kwargs):
+    """Solve an extraction problem with the pure-Python reference branch and bound."""
+    return solve_branch_and_bound(
+        problem.c, problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq,
+        problem.lower, problem.upper, problem.integrality, **kwargs,
+    )
 
 
 def shared_plan_egraph():
@@ -90,13 +103,17 @@ class TestILPExtraction:
     def test_bnb_backend_agrees_with_scipy(self):
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
-        scipy_res = ILPExtractor(nc, backend="scipy").extract(eg, root)
-        bnb_res = ILPExtractor(nc, backend="bnb").extract(eg, root)
-        assert bnb_res.cost == pytest.approx(scipy_res.cost)
+        scipy_res = ILPExtractor(nc).extract(eg, root)
+        bnb_res = solve_reference(
+            build_extraction_problem(eg, root, nc, prune_dominated=True, collapse_singletons=True)
+        )
+        assert bnb_res.status == "optimal"
+        assert bnb_res.objective == pytest.approx(scipy_res.cost)
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ILPExtractor(cost_table({}), backend="cplex")
+        # HiGHS is the only solver: there is no backend to pick.
+        with pytest.raises(TypeError):
+            ILPExtractor(cost_table({}), backend="bnb")
 
     def test_filter_list_constraints(self):
         eg = EGraph()
@@ -242,7 +259,6 @@ class TestProblemReduction:
 class TestWarmStart:
     def test_warm_start_vector_is_feasible_and_greedy_cost(self):
         from repro.egraph.extraction.bnb import incumbent_is_feasible
-        from repro.egraph.extraction.problem import warm_start_solution
 
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
@@ -260,10 +276,15 @@ class TestWarmStart:
     def test_warm_and_cold_solves_agree(self):
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
-        for backend in ("scipy", "bnb"):
-            warm = ILPExtractor(nc, backend=backend, warm_start=True).extract(eg, root)
-            cold = ILPExtractor(nc, backend=backend, warm_start=False).extract(eg, root)
-            assert warm.cost == pytest.approx(cold.cost) == pytest.approx(10.0)
+        warm = ILPExtractor(nc, warm_start=True).extract(eg, root)
+        cold = ILPExtractor(nc, warm_start=False).extract(eg, root)
+        assert warm.cost == pytest.approx(cold.cost) == pytest.approx(10.0)
+        problem = build_extraction_problem(
+            eg, root, nc, prune_dominated=True, collapse_singletons=True
+        )
+        bnb_warm = solve_reference(problem, incumbent=warm_start_solution(problem))
+        bnb_cold = solve_reference(problem)
+        assert bnb_warm.objective == pytest.approx(bnb_cold.objective) == pytest.approx(10.0)
 
     def test_warm_start_info_recorded(self):
         eg, root, costs = shared_plan_egraph()
@@ -274,16 +295,10 @@ class TestWarmStart:
         assert info.warm_start_objective == pytest.approx(14.0)  # the greedy cost
 
     def test_bnb_incumbent_accepts_only_feasible_vectors(self):
-        from repro.egraph.extraction.bnb import solve_branch_and_bound
-
         eg, root, costs = shared_plan_egraph()
         problem = build_extraction_problem(eg, root, cost_table(costs))
         bogus = np.full(problem.num_variables, 0.5)  # violates the eq row
-        res = solve_branch_and_bound(
-            problem.c, problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq,
-            problem.lower, problem.upper, problem.integrality,
-            incumbent=(bogus, 0.0),
-        )
+        res = solve_reference(problem, incumbent=(bogus, 0.0))
         # The infeasible incumbent is ignored, not returned.
         assert res.status == "optimal"
         assert res.objective == pytest.approx(10.0)
@@ -294,4 +309,71 @@ class TestWarmStart:
         assert "prune" in result.stages
         assert "greedy" in result.stages
         assert "ilp" in result.stages
-        assert result.stage_costs["ilp"] == pytest.approx(10.0)
+        assert result.cost == pytest.approx(10.0)
+
+
+SESSION_BASE = dict(node_limit=2_000, iter_limit=5, k_multi=1)
+
+
+def _session(model: str, observers=(), **overrides):
+    config = TensatConfig(**{**SESSION_BASE, **overrides})
+    return OptimizationSession(build_model(model, "tiny"), config=config, observers=list(observers))
+
+
+class TestSessionExtraction:
+    """The ILP as the pipeline runs it: parity, time limit, stats and events."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", ["nasrnn", "resnext"])
+    def test_warm_ilp_matches_cold_ilp(self, model):
+        warm = _session(model, ilp_time_limit=30.0, ilp_warm_start=True).result()
+        cold = _session(model, ilp_time_limit=30.0, ilp_warm_start=False).result()
+        assert warm.stats.optimized_cost == pytest.approx(cold.stats.optimized_cost)
+        # Same extracted graph, not just the same headline cost.
+        assert str(warm.extraction.expr) == str(cold.extraction.expr)
+
+    @pytest.mark.parametrize("model", ["nasrnn", "bert"])
+    def test_time_limit_returns_warm_incumbent(self, model):
+        # The time limit is the only extraction budget: when it expires before
+        # HiGHS has a solution, the greedy incumbent is the answer.
+        session = _session(model, ilp_time_limit=1e-6, verify_numerically=True)
+        extraction = session.extract()
+        assert extraction.status == "iteration_or_time_limit_warm_incumbent"
+        assert "greedy" in extraction.stages
+        result = session.result()
+        assert result.optimized is not None
+        assert result.stats.optimized_cost > 0
+        assert result.stats.extraction_status.startswith(extraction.status)
+        assert result.stats.as_dict()["extraction_status"] == result.stats.extraction_status
+
+    def test_time_limit_cold_falls_back_to_greedy(self):
+        session = _session("nasrnn", ilp_time_limit=1e-6, ilp_warm_start=False)
+        extraction = session.extract()
+        assert extraction.status == "ilp_iteration_or_time_limit_greedy_fallback"
+        assert {"prune", "ilp", "greedy"} <= set(extraction.stages)
+        assert session.result().optimized is not None
+
+    def test_stage_provenance_recorded(self):
+        extraction = _session("nasrnn", ilp_time_limit=30.0).extract()
+        assert set(extraction.stages) == {"prune", "greedy", "ilp"}
+        assert extraction.status == "optimal"
+
+    def test_stats_carry_stage_seconds_and_prune_ratio(self):
+        stats = _session("nasrnn", ilp_time_limit=30.0).result().stats
+        assert set(stats.extraction_stage_seconds) == {"prune", "greedy", "ilp"}
+        assert all(secs >= 0.0 for secs in stats.extraction_stage_seconds.values())
+        assert stats.extraction_prune_ratio >= 1.0
+        payload = stats.as_dict()
+        assert "extraction_stage_seconds" in payload
+        assert "extraction_prune_ratio" in payload
+
+    def test_on_extraction_event_fires_with_the_result(self):
+        recording = RecordingObserver()
+        timing = PhaseTimingObserver()
+        session = _session("nasrnn", observers=[recording, timing], ilp_time_limit=30.0)
+        extraction = session.extract()
+        events = recording.of_kind("extraction")
+        assert len(events) == 1
+        assert events[0][1] is extraction
+        assert timing.extraction_stage_seconds
+        assert timing.extraction_prune_ratio >= 1.0

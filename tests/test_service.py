@@ -200,16 +200,29 @@ class TestRequestCore:
         ("shape_analysis", "off"),
         ("search_jobs", 2),
         ("search_executor", "thread"),
+        ("extraction_deadline", 5.0),
+        ("ilp_backend", "bnb"),
+        ("ilp_fallback_to_greedy", False),
+        ("ilp_integer_topo", True),
     ])
     def test_removed_search_knob_is_config_error(self, field, value):
-        # The search path is no longer selectable; clients still sending
-        # one of its old knobs get a typed error naming the field.
+        # Neither the search path nor the extraction path is selectable;
+        # clients still sending an old knob get a typed error naming the field.
         response = handle(
             OptimizationService(),
             {"op": "optimize", "graph": graph_to_doc(small_graph()), "config": {field: value}},
         )
         assert response["ok"] is False and response["error"]["type"] == "config"
         assert field in response["error"]["message"]
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_invalid_ilp_time_limit_is_config_error(self, limit):
+        response = handle(
+            OptimizationService(),
+            {"op": "optimize", "graph": graph_to_doc(small_graph()), "config": {"ilp_time_limit": limit}},
+        )
+        assert response["ok"] is False and response["error"]["type"] == "config"
+        assert "ilp_time_limit" in response["error"]["message"]
 
     def test_queue_full_fails_fast(self):
         service = OptimizationService(ServiceConfig(max_concurrency=1, queue_limit=0))

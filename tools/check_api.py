@@ -8,8 +8,7 @@ Four checks:
    component registry's names (no hand-maintained tuples),
 3. the legacy ``*_CHOICES`` snapshot tuples in ``repro.core.config`` match
    the registries they snapshot,
-4. the extraction-at-scale lockstep: ``"portfolio"`` is registered in
-   ``EXTRACTORS`` and the CLI defaults for ``--extraction-deadline`` /
+4. the extraction-at-scale lockstep: the CLI defaults for
    ``--no-extraction-prune`` / ``--no-ilp-warm-start`` equal the
    ``TensatConfig`` field defaults (the config dataclass is the single
    source of truth for engine-knob defaults),
@@ -118,8 +117,6 @@ def check_config_snapshots() -> list:
 def check_extraction_lockstep() -> list:
     """The extraction-at-scale knobs stay consistent across all surfaces."""
     problems = []
-    if "portfolio" not in EXTRACTORS:
-        problems.append("EXTRACTORS registry is missing the 'portfolio' entry")
     defaults = config_module.TensatConfig()
     subcommands = _subcommand_parsers(build_parser())
     optimize = subcommands.get("optimize")
@@ -127,7 +124,6 @@ def check_extraction_lockstep() -> list:
         return problems + ["CLI has no 'optimize' subcommand"]
     cli_defaults = {a.dest: a.default for a in optimize._actions}
     for dest, config_value in (
-        ("extraction_deadline", defaults.extraction_deadline),
         ("extraction_prune", defaults.extraction_prune),
         ("ilp_warm_start", defaults.ilp_warm_start),
     ):
@@ -238,7 +234,7 @@ def main() -> int:
     print(
         f"ok: {len(repro.__all__)} exports import, {n_knobs} CLI strategy knobs "
         "match their registries, config snapshots consistent, extraction "
-        "deadline/prune/warm-start defaults in lockstep, serve flags match "
+        "prune/warm-start defaults in lockstep, serve flags match "
         "ServiceConfig, OPS registry / serializer / ONNX importer / CLI in lockstep"
     )
     return 0
