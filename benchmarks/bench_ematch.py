@@ -11,7 +11,8 @@ asserting that both return identical results:
 
 1. **exploration** -- one run of the pipeline per model, with the per-phase
    split (search / condition checks / multi-pattern join / apply / rebuild)
-   from a :class:`~repro.core.events.PhaseTimingObserver`;
+   summed from the iteration reports by
+   :meth:`~repro.core.stats.OptimizationStats.from_runner_report`;
 2. **search** -- a full-graph search of every rule's source pattern with the
    naive interpretive matcher (:func:`~repro.egraph.ematch.naive_search_pattern`)
    vs. one rule-trie sweep (:class:`~repro.egraph.machine.TrieMatcher`);
@@ -35,8 +36,8 @@ import pytest
 
 from benchmarks.common import bench_scale, format_table, write_result
 from repro.core.config import TensatConfig
-from repro.core.events import PhaseTimingObserver
 from repro.core.session import OptimizationSession
+from repro.core.stats import OptimizationStats
 from repro.egraph.ematch import naive_search_pattern, search_pattern
 from repro.egraph.machine import TrieMatcher, build_rule_trie
 from repro.egraph.multipattern import MultiPatternRewrite
@@ -85,14 +86,11 @@ def _bare(rule: MultiPatternRewrite) -> MultiPatternRewrite:
 
 
 def _explore(model: str, scale: str):
-    """One exploration run; per-phase timings come from an attached observer."""
+    """One exploration run; per-phase timings are summed from its iteration reports."""
     gc.collect()  # don't let the previous run's garbage land mid-measurement
-    timing = PhaseTimingObserver()
-    session = OptimizationSession(
-        build_model(model, scale), config=TensatConfig(**BENCH_CONFIG), observers=[timing]
-    )
+    session = OptimizationSession(build_model(model, scale), config=TensatConfig(**BENCH_CONFIG))
     report = session.explore()
-    return session.egraph, report, timing
+    return session.egraph, report, OptimizationStats.from_runner_report(report)
 
 
 def _generate_bench_ematch():
@@ -216,7 +214,7 @@ def _generate_bench_ematch():
                 "rebuild": timing.rebuild_seconds,
             },
             "per_iteration_search_ms": [
-                it["search_seconds"] * 1000 for it in timing.per_iteration
+                it.search_seconds * 1000 for it in report.iterations
             ],
             "search": {
                 "matches": sum(len(m) for m in naive_lists),

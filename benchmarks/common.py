@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import OptimizationSession, TensatConfig, compare
-from repro.core.events import PhaseTimingObserver
 from repro.core.optimizer import OptimizationResult
 from repro.costs import AnalyticCostModel
 from repro.ir.graph import TensorGraph
@@ -96,9 +95,6 @@ class ModelRun:
     tensat: OptimizationResult
     tensat_seconds: float
     taso: BacktrackingResult
-    #: Per-phase timing observer attached to the TENSAT run: phase_seconds
-    #: plus the search/apply/rebuild breakdown, without touching the result.
-    timing: Optional[PhaseTimingObserver] = None
 
     @property
     def tensat_speedup(self) -> float:
@@ -130,7 +126,6 @@ def run_model(
     cm = cost_model()
     graph = build_model(model, scale)
     config = tensat_config(model, k_multi=k_multi, **config_overrides)
-    timing = PhaseTimingObserver()
 
     if run_taso:
         # The shared compare() front door is the same implementation the
@@ -139,7 +134,6 @@ def run_model(
             graph,
             cost_model=cm,
             config=config,
-            observers=[timing],
             taso_budget=taso_budget(),
             taso_time_limit=600.0,
             taso_alpha=1.0,
@@ -151,7 +145,7 @@ def run_model(
         # Session construction seeds the e-graph, so it belongs inside the
         # timer (as it does in compare() and in the pre-session harness).
         start = time.perf_counter()
-        session = OptimizationSession(graph, cost_model=cm, config=config, observers=[timing])
+        session = OptimizationSession(graph, cost_model=cm, config=config)
         tensat_result = session.result()
         tensat_seconds = time.perf_counter() - start
         taso_result = BacktrackingResult(
@@ -172,7 +166,6 @@ def run_model(
         tensat=tensat_result,
         tensat_seconds=tensat_seconds,
         taso=taso_result,
-        timing=timing,
     )
     _RUN_CACHE[cache_key] = run
     return run

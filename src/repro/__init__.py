@@ -23,9 +23,8 @@ Or phase by phase, with the session API (see ``docs/api.md``)::
         pass
     result = session.result()
 
-Batches share one compiled rule trie via :func:`optimize_many`, and the
-component registries in :mod:`repro.core.registry` let third-party
-extractors / schedulers / joins plug in without editing the driver.
+Batches run one after another over one compiled rule trie via
+:func:`optimize_many`.
 
 For repeated traffic there is a long-lived daemon (``python -m repro serve``)
 with a canonical-fingerprint result cache; see :mod:`repro.service` and
@@ -44,15 +43,9 @@ The package is organised as:
 """
 
 from repro.core.batch import ComparisonResult, compare, optimize_many
-from repro.core.config import ConfigError, TensatConfig
-from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
+from repro.core.config import TensatConfig
+from repro.core.events import OptimizationObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import (
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    Registry,
-    SCHEDULERS,
-)
 from repro.core.session import OptimizationSession
 from repro.core.stats import OptimizationStats
 from repro.ir.graph import GraphBuilder, TensorGraph
@@ -74,7 +67,6 @@ __all__ = [
     "OptimizationSession",
     "TensatOptimizer",
     "TensatConfig",
-    "ConfigError",
     "OptimizationResult",
     "OptimizationStats",
     "optimize",
@@ -84,13 +76,7 @@ __all__ = [
     "ComparisonResult",
     # Event / observer API
     "OptimizationObserver",
-    "PhaseTimingObserver",
     "RecordingObserver",
-    # Component registries
-    "Registry",
-    "CYCLE_FILTERS",
-    "EXTRACTORS",
-    "SCHEDULERS",
     # Optimization service
     "ResultCache",
     "ServiceClient",

@@ -22,8 +22,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core import TensatConfig, compare, optimize
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
 from repro.costs import AnalyticCostModel
+from repro.egraph.cycles import CYCLE_FILTERS
+from repro.egraph.extraction import EXTRACTORS
+from repro.egraph.scheduler import SCHEDULERS
 from repro.ir.serialize import graph_to_doc, load_graph, save_graph
 from repro.models import MODEL_NAMES, build_model, load_onnx_model, parse_dim_overrides
 from repro.rules import default_ruleset
@@ -34,7 +36,7 @@ __all__ = ["main", "build_parser"]
 
 #: Engine-knob defaults come from the config dataclass itself, so the CLI can
 #: never drift from what library users get; choices come straight from the
-#: component registries (tools/check_api.py asserts they stay in lockstep).
+#: strategy tables (tools/check_api.py asserts they stay in lockstep).
 _CONFIG_DEFAULTS = TensatConfig()
 
 #: Service-knob defaults likewise come from the ServiceConfig dataclass
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--k-multi", type=int, default=1, help="iterations of multi-pattern rewrites")
     opt.add_argument("--node-limit", type=int, default=5_000)
     opt.add_argument("--iter-limit", type=int, default=8)
-    opt.add_argument("--extraction", choices=EXTRACTORS.names(), default="ilp")
+    opt.add_argument("--extraction", choices=tuple(EXTRACTORS), default="ilp")
     opt.add_argument("--ilp-time-limit", type=float, default=60.0)
     opt.add_argument(
         "--no-extraction-prune", dest="extraction_prune", action="store_false",
@@ -78,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the extraction ILP cold instead of seeding it from "
              "the greedy solution",
     )
-    opt.add_argument("--cycle-filter", choices=CYCLE_FILTERS.names(), default="efficient")
+    opt.add_argument("--cycle-filter", choices=tuple(CYCLE_FILTERS), default="efficient")
     opt.add_argument(
-        "--scheduler", choices=SCHEDULERS.names(), default=_CONFIG_DEFAULTS.scheduler,
+        "--scheduler", choices=tuple(SCHEDULERS), default=_CONFIG_DEFAULTS.scheduler,
         help="rule scheduling: every rule every iteration, or egg-style backoff",
     )
     opt.add_argument("--output", help="write the optimized graph to this path (.json or .sexpr)")
@@ -150,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="per-request TensatConfig override, repeatable (validated "
-             "server-side against the component registries)",
+             "server-side)",
     )
     submit.add_argument("--output", help="write the optimized graph to this path (.json or .sexpr)")
     submit.add_argument("--json", action="store_true", help="print the raw response as JSON")

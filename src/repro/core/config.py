@@ -3,43 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
+from repro.egraph.cycles import CYCLE_FILTERS
+from repro.egraph.extraction import EXTRACTORS
+from repro.egraph.scheduler import SCHEDULERS
 
-__all__ = [
-    "TensatConfig",
-    "ConfigError",
-    "SCHEDULER_CHOICES",
-    "CYCLE_FILTER_CHOICES",
-    "EXTRACTION_CHOICES",
-]
-
-
-class ConfigError(ValueError):
-    """A configuration combination that cannot run as requested.
-
-    Raised instead of letting the underlying failure (a deep pickle
-    traceback, silently dropped observer events) surface later: the message
-    names the offending knob or component and what to change.
-    """
-
-
-#: Import-time snapshots of the registry names, kept for backward
-#: compatibility.  Validation and the CLI consult the *live* registries in
-#: :mod:`repro.core.registry`, so components registered after import are
-#: accepted everywhere even though they are absent from these tuples.
-SCHEDULER_CHOICES = SCHEDULERS.names()
-CYCLE_FILTER_CHOICES = CYCLE_FILTERS.names()
-EXTRACTION_CHOICES = EXTRACTORS.names()
-
-#: Knob name -> the registry its value must name an entry of.
-_KNOB_REGISTRIES = (
-    ("extraction", EXTRACTORS),
-    ("scheduler", SCHEDULERS),
-    ("cycle_filter", CYCLE_FILTERS),
-)
+__all__ = ["TensatConfig"]
 
 
 @dataclass(frozen=True)
@@ -113,11 +84,14 @@ class TensatConfig:
     verify_numerically: bool = False
 
     def __post_init__(self) -> None:
-        # Strategy knobs validate against the live component registries, so
-        # a third-party extractor/scheduler registered before this config is
-        # constructed is accepted without touching this module.
-        for knob, registry in _KNOB_REGISTRIES:
-            registry.check(getattr(self, knob))
+        for knob, table in (
+            ("extraction", EXTRACTORS),
+            ("scheduler", SCHEDULERS),
+            ("cycle_filter", CYCLE_FILTERS),
+        ):
+            value = getattr(self, knob)
+            if value not in table:
+                raise ValueError(f"unknown {knob} {value!r}; available: {', '.join(table)}")
         if self.node_limit <= 0 or self.iter_limit <= 0:
             raise ValueError("node_limit and iter_limit must be positive")
         if self.k_multi < 0:
@@ -131,11 +105,15 @@ class TensatConfig:
                 "with cycle_filter='none' the ILP needs cycle constraints "
                 "(set ilp_cycle_constraints=True) or extraction may return a cyclic graph"
             )
-        # HiGHS answers an invalid time limit by solving with no limit at all.
-        if not (math.isfinite(self.ilp_time_limit) and self.ilp_time_limit > 0):
-            raise ValueError(
-                f"ilp_time_limit must be positive and finite, got {self.ilp_time_limit}"
-            )
+        # An invalid time limit silently means no limit: HiGHS solves
+        # unbounded, and the runner's ``elapsed > nan`` is never true.
+        for knob in ("exploration_time_limit", "ilp_time_limit"):
+            limit = getattr(self, knob)
+            if not (math.isfinite(limit) and limit > 0):
+                raise ValueError(f"{knob} must be positive and finite, got {limit!r}")
+        cap = self.max_multi_combinations
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError(f"max_multi_combinations must be None or an int >= 0, got {cap!r}")
 
     def with_overrides(self, **kwargs) -> "TensatConfig":
         """Return a copy with the given fields replaced."""

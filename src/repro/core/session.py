@@ -30,20 +30,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backend.executor import execute_graph, outputs_allclose
 from repro.core.config import TensatConfig
 from repro.core.events import dispatch_event
-from repro.core.registry import EXTRACTORS
 from repro.core.stats import OptimizationStats
 from repro.costs.model import AnalyticCostModel, CostModel
-from repro.egraph.cycles import CycleFilter
+from repro.egraph.cycles import CYCLE_FILTERS, CycleFilter
+from repro.egraph.extraction import EXTRACTORS
 from repro.egraph.extraction.base import ExtractionResult
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.machine import TrieMatcher
-from repro.egraph.runner import (
-    IterationReport,
-    Runner,
-    RunnerLimits,
-    RunnerReport,
-    make_cycle_filter,
-)
+from repro.egraph.runner import IterationReport, Runner, RunnerLimits, RunnerReport
 from repro.ir.convert import egraph_from_graph, recexpr_to_graph
 from repro.ir.graph import TensorGraph
 from repro.ir.tensor import ShapeError
@@ -185,7 +179,7 @@ class OptimizationSession:
         self.config = config if config is not None else TensatConfig()
         self.observers = tuple(observers)
         self.egraph, self.root = egraph_from_graph(graph)
-        self.cycle_filter = make_cycle_filter(self.config.cycle_filter)
+        self.cycle_filter = CYCLE_FILTERS[self.config.cycle_filter]()
         self.runner = Runner(
             self.egraph,
             rewrites=self.rules.rewrites,
@@ -254,19 +248,17 @@ class OptimizationSession:
     def extract(self) -> ExtractionResult:
         """Extract the cheapest represented graph (exploring first if needed).
 
-        The extractor is built from the :data:`~repro.core.registry.EXTRACTORS`
-        registry entry named by ``config.extraction``.
+        The extractor is built from the
+        :data:`~repro.egraph.extraction.EXTRACTORS` entry named by
+        ``config.extraction``.
         """
         if self.extraction is not None:
             return self.extraction
         if self.report is None:
             self.explore()
         t0 = time.perf_counter()
-        extractor = EXTRACTORS.create(
-            self.config.extraction,
-            node_cost=self.cost_model.extraction_cost_function(),
-            config=self.config,
-            filter_list=self.cycle_filter.filter_list,
+        extractor = EXTRACTORS[self.config.extraction](
+            self.cost_model.extraction_cost_function(), self.config, self.cycle_filter.filter_list
         )
         self._extractor = extractor
         self.extraction = extractor.extract(self.egraph, self.root)

@@ -64,21 +64,23 @@ class OptimizationStats:
 
     @classmethod
     def from_runner_report(cls, report: RunnerReport) -> "OptimizationStats":
-        stats = cls(
+        """The exploration half of the stats; the per-phase timers are the
+        one place the per-iteration reports are summed."""
+        iterations = report.iterations
+        return cls(
             exploration_seconds=report.total_seconds,
-            search_seconds=report.search_seconds,
-            apply_seconds=report.apply_seconds,
-            rebuild_seconds=report.rebuild_seconds,
-            multi_join_seconds=report.multi_join_seconds,
-            condition_seconds=report.condition_seconds,
+            search_seconds=sum(it.search_seconds for it in iterations),
+            apply_seconds=sum(it.apply_seconds for it in iterations),
+            rebuild_seconds=sum(it.rebuild_seconds for it in iterations),
+            multi_join_seconds=sum(it.multi_join_seconds for it in iterations),
+            condition_seconds=sum(it.condition_seconds for it in iterations),
             exploration_iterations=report.num_iterations,
             stop_reason=report.stop_reason.value,
             num_enodes=report.n_enodes,
             num_eclasses=report.n_eclasses,
             num_filtered_nodes=report.n_filtered,
-            cycles_resolved=sum(it.n_cycles_resolved for it in report.iterations),
+            cycles_resolved=sum(it.n_cycles_resolved for it in iterations),
         )
-        return stats
 
     def as_dict(self) -> Dict[str, object]:
         return {

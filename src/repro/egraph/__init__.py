@@ -36,7 +36,7 @@ from repro.egraph.pattern import Pattern, PatternNode, PatternVar
 from repro.egraph.rewrite import ConditionTimer, Rewrite
 from repro.egraph.multipattern import MultiPatternRewrite
 from repro.egraph.runner import Runner, RunnerLimits, RunnerReport, StopReason
-from repro.egraph.scheduler import BackoffScheduler, Scheduler, SimpleScheduler, make_scheduler
+from repro.egraph.scheduler import BackoffScheduler, Scheduler, SimpleScheduler
 from repro.egraph.unionfind import UnionFind
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "Scheduler",
     "SimpleScheduler",
     "BackoffScheduler",
-    "make_scheduler",
     "UnionFind",
 ]

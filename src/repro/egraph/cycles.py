@@ -39,6 +39,8 @@ __all__ = [
     "CycleFilter",
     "VanillaCycleFilter",
     "EfficientCycleFilter",
+    "NoCycleFilter",
+    "CYCLE_FILTERS",
 ]
 
 
@@ -353,6 +355,16 @@ class EfficientCycleFilter(CycleFilter):
 
     def end_iteration(self, egraph: EGraph) -> int:
         return _postprocess(egraph, self.filter_list)
+
+
+#: Cycle-filter name -> class.  :class:`~repro.core.config.TensatConfig`
+#: validation and the CLI's ``--cycle-filter`` choices read this table; the
+#: first entry is the default.
+CYCLE_FILTERS = {
+    "efficient": EfficientCycleFilter,
+    "vanilla": VanillaCycleFilter,
+    "none": NoCycleFilter,
+}
 
 
 def _postprocess(egraph: EGraph, filter_list: FilterList) -> int:

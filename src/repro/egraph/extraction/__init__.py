@@ -30,4 +30,27 @@ __all__ = [
     "ReductionStats",
     "build_extraction_problem",
     "warm_start_solution",
+    "EXTRACTORS",
 ]
+
+
+def _make_ilp(node_cost, config, filter_list) -> ILPExtractor:
+    return ILPExtractor(
+        node_cost,
+        with_cycle_constraints=config.ilp_cycle_constraints,
+        filter_list=filter_list,
+        time_limit=config.ilp_time_limit,
+        mip_rel_gap=config.ilp_mip_gap,
+        reduce_problem=config.extraction_prune,
+        warm_start=config.ilp_warm_start,
+    )
+
+
+#: Extractor name -> constructor ``(node_cost, config, filter_list) -> Extractor``,
+#: where ``config`` is a :class:`~repro.core.config.TensatConfig`.  Its
+#: validation, the CLI's ``--extraction`` choices and the session's extractor
+#: construction read this table; the first entry is the default.
+EXTRACTORS = {
+    "ilp": _make_ilp,
+    "greedy": lambda node_cost, config, filter_list: GreedyExtractor(node_cost, filter_list=filter_list),
+}

@@ -557,9 +557,9 @@ class TrieMatcher:
 
         The patterns and trie are immutable after construction, so they are
         shared by reference; the per-e-graph incremental cache is private to
-        each fork.  This is how ``optimize_many`` runs concurrent sessions
-        under one compiled trie without their delta caches corrupting each
-        other.
+        each fork.  This is how the optimization service runs concurrent
+        requests under one compiled trie without their delta caches
+        corrupting each other.
         """
         clone = TrieMatcher.__new__(TrieMatcher)
         clone.patterns = self.patterns

@@ -51,7 +51,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.egraph.applier import ApplyPlan
 from repro.egraph.cycles import CycleFilter, FilterList, NoCycleFilter
@@ -59,7 +59,7 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.machine import TrieMatcher
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
 from repro.egraph.rewrite import ConditionTimer, Rewrite
-from repro.egraph.scheduler import Scheduler, make_scheduler
+from repro.egraph.scheduler import SCHEDULERS, Scheduler
 
 __all__ = [
     "StopReason",
@@ -68,8 +68,12 @@ __all__ = [
     "RunnerLimits",
     "Runner",
     "collect_trie_patterns",
-    "make_cycle_filter",
 ]
+
+#: Fall back to a full search when the previous iteration's delta covers more
+#: than this fraction of all e-classes (a large union cascade touched most of
+#: the e-graph, so the closure walk would cost more than it saves).
+DELTA_FULL_FRACTION = 0.5
 
 
 class StopReason(enum.Enum):
@@ -117,7 +121,11 @@ class IterationReport:
 
 @dataclass
 class RunnerReport:
-    """Aggregate exploration report."""
+    """Aggregate exploration report.
+
+    Per-phase timings live only in ``iterations``;
+    :meth:`repro.core.stats.OptimizationStats.from_runner_report` sums them.
+    """
 
     stop_reason: StopReason
     iterations: List[IterationReport] = field(default_factory=list)
@@ -125,30 +133,10 @@ class RunnerReport:
     n_enodes: int = 0
     n_eclasses: int = 0
     n_filtered: int = 0
-    search_seconds: float = 0.0
-    apply_seconds: float = 0.0
-    rebuild_seconds: float = 0.0
-    multi_join_seconds: float = 0.0
-    condition_seconds: float = 0.0
 
     @property
     def num_iterations(self) -> int:
         return len(self.iterations)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "stop_reason": self.stop_reason.value,
-            "iterations": self.num_iterations,
-            "seconds": round(self.total_seconds, 4),
-            "search_seconds": round(self.search_seconds, 4),
-            "apply_seconds": round(self.apply_seconds, 4),
-            "rebuild_seconds": round(self.rebuild_seconds, 4),
-            "multi_join_seconds": round(self.multi_join_seconds, 4),
-            "condition_seconds": round(self.condition_seconds, 4),
-            "enodes": self.n_enodes,
-            "eclasses": self.n_eclasses,
-            "filtered_nodes": self.n_filtered,
-        }
 
 
 @dataclass
@@ -173,19 +161,6 @@ class RunnerLimits:
     #: Seed each iteration's search from the e-classes dirtied by the previous
     #: one.  Iteration 0 always searches the full e-graph.
     use_delta: bool = True
-    #: Fall back to a full search when the delta covers more than this
-    #: fraction of all e-classes (a large union cascade touched everything, so
-    #: the closure walk would cost more than it saves).
-    delta_full_fraction: float = 0.5
-
-
-def make_cycle_filter(kind: str) -> CycleFilter:
-    """Factory for the cycle-filtering strategies, backed by the
-    :data:`~repro.core.registry.CYCLE_FILTERS` registry (``"efficient"``,
-    ``"vanilla"``, ``"none"``, plus anything third parties register)."""
-    from repro.core.registry import CYCLE_FILTERS
-
-    return CYCLE_FILTERS.create(kind.lower())
 
 
 def collect_trie_patterns(
@@ -195,9 +170,9 @@ def collect_trie_patterns(
 
     Single-pattern LHS patterns come first (index == rule index); the unique
     canonical multi-pattern source patterns follow, keyed so the runner can
-    split one ``search_all`` result back per rule.  A shared batch front door
-    (:func:`repro.core.batch.optimize_many`) uses the same helper to compile
-    one :class:`~repro.egraph.machine.TrieMatcher` reused across runs.
+    split one ``search_all`` result back per rule.
+    :func:`repro.core.batch.compile_shared_trie` uses the same helper to
+    compile one :class:`~repro.egraph.machine.TrieMatcher` reused across runs.
     """
     patterns = [rw.lhs for rw in rewrites]
     keys: List[str] = []
@@ -256,9 +231,12 @@ class Runner:
         self.rewrites = list(rewrites)
         self.multi_rewrites = list(multi_rewrites)
         self.limits = limits if limits is not None else RunnerLimits()
-        # Raises on an unknown scheduler kind.
-        self.scheduler: Scheduler = make_scheduler(
-            self.limits.scheduler, self.limits.match_limit, self.limits.ban_length
+        if self.limits.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {self.limits.scheduler!r}; available: {', '.join(SCHEDULERS)}"
+            )
+        self.scheduler: Scheduler = SCHEDULERS[self.limits.scheduler](
+            self.limits.match_limit, self.limits.ban_length
         )
         self.cycle_filter = cycle_filter if cycle_filter is not None else NoCycleFilter()
         self.observers = tuple(observers)
@@ -366,19 +344,13 @@ class Runner:
                 "exploration has not stopped; keep calling step() (or use run()), "
                 "or inspect the in-progress state via Runner.iterations"
             )
-        reports = self._reports
         return RunnerReport(
             stop_reason=self._stop,
-            iterations=list(reports),
+            iterations=list(self._reports),
             total_seconds=self._elapsed,
             n_enodes=self.egraph.num_enodes,
             n_eclasses=self.egraph.num_eclasses,
             n_filtered=len(self.filter_list),
-            search_seconds=sum(r.search_seconds for r in reports),
-            apply_seconds=sum(r.apply_seconds for r in reports),
-            rebuild_seconds=sum(r.rebuild_seconds for r in reports),
-            multi_join_seconds=sum(r.multi_join_seconds for r in reports),
-            condition_seconds=sum(r.condition_seconds for r in reports),
         )
 
     # ------------------------------------------------------------------ #
@@ -392,7 +364,7 @@ class Runner:
         timer = ConditionTimer()
 
         delta = self._delta if self.limits.use_delta else None
-        if delta is not None and len(delta) > self.limits.delta_full_fraction * max(1, self.egraph.num_eclasses):
+        if delta is not None and len(delta) > DELTA_FULL_FRACTION * max(1, self.egraph.num_eclasses):
             # A union cascade touched most of the e-graph; the closure walk
             # would cost more than the full search it is meant to avoid.
             delta = None

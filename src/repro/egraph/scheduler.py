@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["Scheduler", "SimpleScheduler", "BackoffScheduler", "make_scheduler", "SCHEDULERS"]
+__all__ = ["Scheduler", "SimpleScheduler", "BackoffScheduler", "SCHEDULERS"]
 
 
 class Scheduler:
@@ -91,21 +91,11 @@ class BackoffScheduler(Scheduler):
         return True
 
 
-#: Legacy snapshot of the built-in scheduler names; the live list (including
-#: third-party registrations) is ``repro.core.registry.SCHEDULERS.names()``.
-SCHEDULERS = ("simple", "backoff")
-
-
-def make_scheduler(kind: str, match_limit: int = 1_000, ban_length: int = 5) -> Scheduler:
-    """Factory mirroring :func:`~repro.egraph.runner.make_cycle_filter`.
-
-    ``kind`` names an entry of the :data:`repro.core.registry.SCHEDULERS`
-    registry (built-ins: ``"simple"`` and ``"backoff"``; the ``match_limit``
-    / ``ban_length`` budgets only apply to backoff -- factories receive both
-    and ignore what they do not use).  Raises :class:`ValueError` on an
-    unregistered name, so configuration typos surface at runner
-    construction, not mid-exploration.
-    """
-    from repro.core.registry import SCHEDULERS as registry
-
-    return registry.create(kind, match_limit=match_limit, ban_length=ban_length)
+#: Scheduler name -> constructor ``(match_limit, ban_length) -> Scheduler``
+#: (only backoff uses the budgets).  :class:`~repro.core.config.TensatConfig`
+#: validation and the CLI's ``--scheduler`` choices read this table; the first
+#: entry is the default.
+SCHEDULERS = {
+    "simple": lambda match_limit, ban_length: SimpleScheduler(),
+    "backoff": BackoffScheduler,
+}

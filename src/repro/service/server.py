@@ -1,9 +1,11 @@
 """The optimization service daemon.
 
-A long-lived asyncio TCP server over :func:`repro.core.batch.optimize_many`
-that keeps per-process state resident across requests: the compiled rule
-trie (compiled once and forked per request), the rule set, the cost model, and the :class:`~repro.service.cache.ResultCache`
-keyed on ``(graph fingerprint, config digest)``.
+A long-lived asyncio TCP server over
+:class:`~repro.core.session.OptimizationSession` that keeps per-process
+state resident across requests: the compiled rule trie (compiled once and
+forked per request), the rule set, the cost model, and the
+:class:`~repro.service.cache.ResultCache` keyed on ``(graph fingerprint,
+config digest)``.
 
 Wire protocol (``docs/service.md``): one JSON object per line, one JSON
 response line per request, over a plain TCP stream::
@@ -34,8 +36,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Dict, Mapping, Optional
 
-from repro.core.batch import compile_shared_trie, optimize_many
-from repro.core.config import ConfigError, TensatConfig
+from repro.core.batch import compile_shared_trie
+from repro.core.config import TensatConfig
+from repro.core.session import OptimizationSession
 from repro.costs.model import AnalyticCostModel, CostModel
 from repro.ir.serialize import SerializeError, graph_from_doc, graph_to_doc
 from repro.rules.library import RuleSet, default_ruleset
@@ -165,7 +168,7 @@ class OptimizationService:
     # Resident compiled state
     # ------------------------------------------------------------------ #
 
-    def shared_trie(self, config: TensatConfig):
+    def shared_trie(self):
         """A fork of the resident compiled rule trie (None for an empty rule set).
 
         Compiled at most once over the service's rule set; callers receive a
@@ -174,7 +177,7 @@ class OptimizationService:
         """
         with self._lock:
             if self._trie is None:
-                self._trie = compile_shared_trie(self.rules, config)
+                self._trie = compile_shared_trie(self.rules, self.base_config)
             trie = self._trie
         return trie.fork() if trie is not None else None
 
@@ -183,8 +186,9 @@ class OptimizationService:
 
         Field names are validated against the :class:`TensatConfig`
         dataclass, values are coerced to the field types, and construction
-        re-runs the registry validation -- an unknown field or extractor /
-        scheduler name fails here with a ``config`` error.
+        re-runs the config validation -- an unknown field, an extractor /
+        scheduler name outside its table, or an out-of-range value fails
+        here with a ``config`` error.
         """
         if overrides is None:
             return self.base_config
@@ -200,7 +204,7 @@ class OptimizationService:
             coerced[name] = _coerce_override(name, value, known[name])
         try:
             return self.base_config.with_overrides(**coerced)
-        except (ConfigError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise RequestError("config", str(exc)) from exc
 
     # ------------------------------------------------------------------ #
@@ -292,13 +296,13 @@ class OptimizationService:
         """Worker-thread body: one cache-missed optimization end-to-end."""
         queue_seconds = time.perf_counter() - enqueued_at
         start = time.perf_counter()
-        result = optimize_many(
-            [graph],
+        result = OptimizationSession(
+            graph,
             cost_model=self.cost_model,
             rules=self.rules,
             config=config,
-            shared_trie=self.shared_trie(config),
-        )[0]
+            shared_trie=self.shared_trie(),
+        ).result()
         optimize_seconds = time.perf_counter() - start
         cached = CachedResult(
             graph_json=json.dumps(graph_to_doc(result.optimized), sort_keys=True),

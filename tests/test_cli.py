@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from test_config import STATS_KEYS
 from repro.cli import build_parser, main
 from repro.ir.serialize import load_graph
 
@@ -91,8 +92,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["speedup_percent"] >= 0
-        for key in ("condition_cache_hits", "condition_cache_misses", "search_shards"):
-            assert key not in payload
+        assert set(payload) == STATS_KEYS
         assert payload["enodes"] > 0
         # The phase breakdown of exploration time is part of the JSON contract.
         for key in ("search_seconds", "apply_seconds", "rebuild_seconds"):

@@ -23,6 +23,36 @@ REMOVED_KNOBS = {
     "ilp_integer_topo": True,
 }
 
+#: Time limits that would silently mean "no limit".
+BAD_TIME_LIMITS = [0.0, -1.0, float("nan"), float("inf")]
+
+#: The key set of ``OptimizationStats.as_dict()``: the CLI's ``--json`` payload
+#: and the service's ``stats`` object.
+STATS_KEYS = {
+    "exploration_seconds",
+    "search_seconds",
+    "apply_seconds",
+    "rebuild_seconds",
+    "multi_join_seconds",
+    "condition_seconds",
+    "extraction_seconds",
+    "total_seconds",
+    "iterations",
+    "stop_reason",
+    "enodes",
+    "eclasses",
+    "filtered_nodes",
+    "cycles_resolved",
+    "original_cost_ms",
+    "optimized_cost_ms",
+    "speedup_percent",
+    "extraction_status",
+    "extraction_stage_seconds",
+    "extraction_prune_ratio",
+    "ilp_num_variables",
+    "ilp_num_constraints",
+}
+
 
 class TestTensatConfig:
     def test_paper_defaults(self):
@@ -86,11 +116,25 @@ class TestTensatConfig:
         with pytest.raises(ValueError):
             TensatConfig(k_multi=-1)
 
-    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan"), float("inf")])
-    def test_invalid_ilp_time_limit_rejected(self, limit):
-        # HiGHS would otherwise solve with no time limit at all.
-        with pytest.raises(ValueError, match="ilp_time_limit"):
-            TensatConfig(ilp_time_limit=limit)
+    @pytest.mark.parametrize(
+        "knob, limit",
+        [pytest.param("ilp_time_limit", v, id=str(v)) for v in BAD_TIME_LIMITS]
+        + [pytest.param("exploration_time_limit", v, id=f"exploration-{v}") for v in BAD_TIME_LIMITS],
+    )
+    def test_invalid_ilp_time_limit_rejected(self, knob, limit):
+        # HiGHS would otherwise solve with no time limit at all, and the
+        # runner's ``elapsed > nan`` check never fires.
+        with pytest.raises(ValueError, match=knob):
+            TensatConfig(**{knob: limit})
+
+    @pytest.mark.parametrize("cap", ["abc", 2.5, -1, True])
+    def test_invalid_max_multi_combinations_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_multi_combinations"):
+            TensatConfig(max_multi_combinations=cap)
+
+    @pytest.mark.parametrize("cap", [None, 0, 50])
+    def test_valid_max_multi_combinations_accepted(self, cap):
+        assert TensatConfig(max_multi_combinations=cap).max_multi_combinations == cap
 
     def test_no_cycle_handling_at_all_is_rejected(self):
         # cycle_filter="none" + ILP without cycle constraints could extract a cyclic graph.
@@ -113,6 +157,7 @@ class TestOptimizationStats:
     def test_as_dict_keys(self):
         stats = OptimizationStats(original_cost=2.0, optimized_cost=1.0, stop_reason="saturated")
         d = stats.as_dict()
+        assert set(d) == STATS_KEYS
         assert d["stop_reason"] == "saturated"
         assert d["speedup_percent"] == pytest.approx(100.0)
 

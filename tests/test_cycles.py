@@ -1,6 +1,7 @@
 """Tests for cycle detection and the two cycle-filtering strategies."""
 
 from repro.egraph.cycles import (
+    CYCLE_FILTERS,
     EfficientCycleFilter,
     FilterList,
     NoCycleFilter,
@@ -14,7 +15,7 @@ from repro.egraph.cycles import (
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
 from repro.egraph.multipattern import MultiPatternRewrite
-from repro.egraph.runner import Runner, RunnerLimits, make_cycle_filter
+from repro.egraph.runner import Runner, RunnerLimits
 
 
 def figure3_egraph():
@@ -111,7 +112,7 @@ class TestCycleDetection:
 class TestFilters:
     def run_with_filter(self, kind):
         eg, inner, root, rule = figure3_egraph()
-        cycle_filter = make_cycle_filter(kind)
+        cycle_filter = CYCLE_FILTERS[kind]()
         runner = Runner(
             eg,
             rewrites=[],
@@ -135,15 +136,9 @@ class TestFilters:
         assert isinstance(cycle_filter, NoCycleFilter)
         assert find_cycles(eg, cycle_filter.filter_list) != []
 
-    def test_make_cycle_filter_rejects_unknown(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            make_cycle_filter("bogus")
-
     def test_factory_types(self):
-        assert isinstance(make_cycle_filter("vanilla"), VanillaCycleFilter)
-        assert isinstance(make_cycle_filter("efficient"), EfficientCycleFilter)
+        assert isinstance(CYCLE_FILTERS["vanilla"](), VanillaCycleFilter)
+        assert isinstance(CYCLE_FILTERS["efficient"](), EfficientCycleFilter)
 
 
 class TestEdgeCases:

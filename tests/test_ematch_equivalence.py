@@ -33,6 +33,7 @@ from repro.egraph.machine import (
 from repro.egraph.pattern import Pattern, PatternNode
 from repro.ir.convert import egraph_from_graph
 from repro.ir.graph import GraphBuilder
+from repro.models import build_model
 from repro.rules import default_ruleset
 
 RULESET = default_ruleset()
@@ -347,6 +348,17 @@ class TestTrieEquivalence:
         for pattern, matches in zip(patterns, reactivated):
             assert matches == naive_search_pattern(egraph, pattern), str(pattern)
         del extra
+
+    def test_trie_matcher_fork_shares_trie_not_cache(self):
+        """The service forks one compiled trie per request: the fork shares
+        the immutable trie but starts with its own empty delta cache."""
+        matcher = TrieMatcher(SOURCE_PATTERNS)
+        egraph, _root = egraph_from_graph(build_model("nasrnn", "tiny"))
+        matcher.search_all(egraph)
+        fork = matcher.fork()
+        assert fork.trie is matcher.trie and fork.patterns is matcher.patterns
+        assert fork._cache is None and matcher._cache is not None
+        assert fork.search_all(egraph) == matcher.search_all(egraph)
 
     def test_trie_incremental_union_at_max_variable_depth(self):
         """Bucket closures climb the *max* depth of their rules; the deepest

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_parity import OracleParityObserver
+from repro.core.stats import OptimizationStats
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import naive_search_pattern, search_pattern
 from repro.egraph.language import RecExpr
@@ -395,6 +396,6 @@ class TestRunnerOracleParity:
         )
         report = runner.run()
         assert report.iterations[0].multi_join_seconds >= 0.0
-        assert report.multi_join_seconds == pytest.approx(
+        assert OptimizationStats.from_runner_report(report).multi_join_seconds == pytest.approx(
             sum(it.multi_join_seconds for it in report.iterations)
         )

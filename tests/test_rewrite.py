@@ -140,4 +140,4 @@ class TestRunner:
         first = report.iterations[0]
         assert first.n_matches >= 2
         assert first.n_applied >= 1
-        assert report.summary()["stop_reason"] == "saturated"
+        assert report.stop_reason.value == "saturated"

@@ -5,7 +5,8 @@ import pytest
 from repro.backend import execute_graph, outputs_allclose
 from repro.costs import AnalyticCostModel
 from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.runner import Runner, RunnerLimits, make_cycle_filter
+from repro.egraph.cycles import EfficientCycleFilter
+from repro.egraph.runner import Runner, RunnerLimits
 from repro.ir.convert import egraph_from_graph, recexpr_to_graph
 from repro.ir.graph import GraphBuilder
 from repro.ir.ops import Activation
@@ -15,7 +16,7 @@ from repro.rules import default_ruleset
 def optimize_with_rules(graph, rules, k_multi=1, node_limit=4000, iter_limit=6):
     cm = AnalyticCostModel()
     eg, root = egraph_from_graph(graph)
-    cycle_filter = make_cycle_filter("efficient")
+    cycle_filter = EfficientCycleFilter()
     Runner(
         eg,
         rewrites=rules.rewrites,

@@ -6,7 +6,7 @@ from oracle_parity import OracleParityObserver
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import Runner, RunnerLimits, StopReason
-from repro.egraph.scheduler import BackoffScheduler, SimpleScheduler, make_scheduler
+from repro.egraph.scheduler import SCHEDULERS, BackoffScheduler, SimpleScheduler
 from repro.models import build_model
 from repro.core import TensatConfig, TensatOptimizer
 from repro.costs import AnalyticCostModel
@@ -14,12 +14,12 @@ from repro.costs import AnalyticCostModel
 
 class TestSchedulerObjects:
     def test_factory(self):
-        assert isinstance(make_scheduler("simple"), SimpleScheduler)
-        backoff = make_scheduler("backoff", match_limit=7, ban_length=3)
+        assert isinstance(SCHEDULERS["simple"](match_limit=7, ban_length=3), SimpleScheduler)
+        backoff = SCHEDULERS["backoff"](match_limit=7, ban_length=3)
         assert isinstance(backoff, BackoffScheduler)
         assert backoff.match_limit == 7 and backoff.ban_length == 3
-        with pytest.raises(ValueError):
-            make_scheduler("adaptive")
+        with pytest.raises(ValueError, match="available: simple, backoff"):
+            TensatConfig(scheduler="adaptive")
 
     def test_simple_never_bans(self):
         s = SimpleScheduler()

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from test_config import STATS_KEYS
 from repro.core.config import TensatConfig
 from repro.core.optimizer import optimize
 from repro.ir.graph import GraphBuilder
@@ -136,12 +137,13 @@ class TestResolveConfig:
 
     def test_registry_validation_runs(self):
         # Unknown extractor name: must surface as a typed config error from
-        # the registry check, not a raw ConfigError leaking to the transport.
+        # the config validation, listing the choices.
         service = OptimizationService()
         with pytest.raises(RequestError) as info:
             service.resolve_config({"extraction": "quantum"})
         assert info.value.code == "config"
         assert "quantum" in str(info.value)
+        assert "available: ilp, greedy" in str(info.value)
 
 
 class TestServiceConfig:
@@ -224,6 +226,22 @@ class TestRequestCore:
         assert response["ok"] is False and response["error"]["type"] == "config"
         assert "ilp_time_limit" in response["error"]["message"]
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_multi_combinations", "abc"),
+        ("max_multi_combinations", 2.5),
+        ("exploration_time_limit", "nan"),
+        ("exploration_time_limit", -1),
+    ])
+    def test_out_of_range_config_value_is_config_error(self, field, value):
+        # Unvalidated, "abc" / 2.5 crash the runner (an ``internal`` error)
+        # and nan turns the exploration time limit off.
+        response = handle(
+            OptimizationService(),
+            {"op": "optimize", "graph": graph_to_doc(small_graph()), "config": {field: value}},
+        )
+        assert response["ok"] is False and response["error"]["type"] == "config"
+        assert field in response["error"]["message"]
+
     def test_queue_full_fails_fast(self):
         service = OptimizationService(ServiceConfig(max_concurrency=1, queue_limit=0))
         service._admitted = 1  # as if one request were already running
@@ -257,6 +275,7 @@ class TestRequestCore:
         assert second["ok"] and second["cache"] == "hit"
         assert second["graph"] == first["graph"]
         assert second["fingerprint"] == first["fingerprint"]
+        assert set(first["stats"]) == set(second["stats"]) == STATS_KEYS
         status = service.status_payload()
         assert status["cache"]["hits"] == 1 and status["cache"]["misses"] == 1
         assert status["requests"]["optimize"] == 2

@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    OptimizationObserver,
     OptimizationSession,
     RecordingObserver,
-    PhaseTimingObserver,
     TensatConfig,
     optimize,
     optimize_many,
@@ -150,25 +150,33 @@ class TestObservers:
     def test_observers_do_not_change_trajectory(self, nasrnn_like_graph):
         silent = optimize(nasrnn_like_graph, config=FAST)
         observed = optimize(
-            nasrnn_like_graph, config=FAST, observers=[RecordingObserver(), PhaseTimingObserver()]
+            nasrnn_like_graph, config=FAST, observers=[RecordingObserver(), OptimizationObserver()]
         )
         assert _trajectory(observed) == _trajectory(silent)
 
-    def test_phase_timing_observer_matches_stats(self, shared_matmul_graph):
-        timing = PhaseTimingObserver()
-        result = optimize(shared_matmul_graph, config=FAST, observers=[timing])
-        assert timing.iterations == result.runner_report.num_iterations
-        assert timing.phase_seconds["exploration"] == pytest.approx(
-            result.stats.exploration_seconds
-        )
-        assert timing.phase_seconds["extraction"] == pytest.approx(
-            result.stats.extraction_seconds
-        )
-        assert timing.search_seconds == pytest.approx(result.stats.search_seconds)
-        assert timing.apply_seconds == pytest.approx(result.stats.apply_seconds)
-        assert timing.rebuild_seconds == pytest.approx(result.stats.rebuild_seconds)
-        assert timing.total_seconds == pytest.approx(result.stats.total_seconds)
-        assert len(timing.per_iteration) == timing.iterations
+    def test_phase_events_match_stats(self, shared_matmul_graph):
+        recorder = RecordingObserver()
+        result = optimize(shared_matmul_graph, config=FAST, observers=[recorder])
+        phase_seconds = {e[1]: e[2] for e in recorder.of_kind("phase")}
+        assert phase_seconds["exploration"] == result.stats.exploration_seconds
+        assert phase_seconds["extraction"] == result.stats.extraction_seconds
+        assert sum(phase_seconds.values()) == pytest.approx(result.stats.total_seconds)
+
+
+class TestStats:
+    def test_timers_are_sums_over_iteration_reports(self, nasrnn_like_graph):
+        result = optimize(nasrnn_like_graph, config=FAST)
+        iterations = result.runner_report.iterations
+        assert len(iterations) == result.stats.exploration_iterations >= 1
+        for timer in (
+            "search_seconds",
+            "apply_seconds",
+            "rebuild_seconds",
+            "multi_join_seconds",
+            "condition_seconds",
+        ):
+            assert getattr(result.stats, timer) == sum(getattr(it, timer) for it in iterations)
+        assert result.stats.multi_join_seconds > 0.0  # k_multi=1 ran the join
 
 
 class TestOptimizeMany:

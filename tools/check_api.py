@@ -1,17 +1,16 @@
 #!/usr/bin/env python
 """Fail when the public API surface drifts from its sources of truth.
 
-Four checks:
+Checks:
 
 1. every name in ``repro.__all__`` actually imports (no stale exports),
-2. every CLI ``choices=`` list for a strategy knob equals the corresponding
-   component registry's names (no hand-maintained tuples),
-3. the legacy ``*_CHOICES`` snapshot tuples in ``repro.core.config`` match
-   the registries they snapshot,
-4. the extraction-at-scale lockstep: the CLI defaults for
+2. every CLI ``choices=`` list for a strategy knob equals the names in the
+   corresponding strategy table (no hand-maintained tuples),
+3. the extraction-at-scale lockstep: the CLI defaults for
    ``--no-extraction-prune`` / ``--no-ilp-warm-start`` equal the
    ``TensatConfig`` field defaults (the config dataclass is the single
    source of truth for engine-knob defaults),
+4. the ``serve`` flags match the ``ServiceConfig`` defaults,
 5. the operator-spec registry lockstep: every ``OpKind`` has a complete
    ``OPS`` spec, every registered symbol round-trips through
    ``resolve_symbol``, ``serialize.valid_ops()`` mirrors ``OPS.names()``,
@@ -38,21 +37,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import repro  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
 from repro.core import config as config_module  # noqa: E402
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS  # noqa: E402
+from repro.egraph.cycles import CYCLE_FILTERS  # noqa: E402
+from repro.egraph.extraction import EXTRACTORS  # noqa: E402
+from repro.egraph.scheduler import SCHEDULERS  # noqa: E402
 from repro.models import MODEL_NAMES  # noqa: E402
 
-#: CLI argument dest -> the registry its choices must equal.
-CLI_REGISTRY_KNOBS = {
+#: CLI argument dest -> the strategy table its choices must equal.
+CLI_STRATEGY_KNOBS = {
     "scheduler": SCHEDULERS,
     "extraction": EXTRACTORS,
     "cycle_filter": CYCLE_FILTERS,
-}
-
-#: config-module snapshot tuple -> the registry it snapshots.
-CONFIG_SNAPSHOTS = {
-    "SCHEDULER_CHOICES": SCHEDULERS,
-    "CYCLE_FILTER_CHOICES": CYCLE_FILTERS,
-    "EXTRACTION_CHOICES": EXTRACTORS,
 }
 
 
@@ -74,7 +68,7 @@ def _subcommand_parsers(parser):
 
 
 def check_cli_choices() -> list:
-    """Every strategy knob's CLI ``choices=`` equals its registry's names."""
+    """Every strategy knob's CLI ``choices=`` equals its table's names."""
     problems = []
     subcommands = _subcommand_parsers(build_parser())
     if not subcommands:
@@ -82,35 +76,22 @@ def check_cli_choices() -> list:
     seen = set()
     for command, subparser in subcommands.items():
         for action in subparser._actions:
-            registry = CLI_REGISTRY_KNOBS.get(action.dest)
-            if registry is None:
+            table = CLI_STRATEGY_KNOBS.get(action.dest)
+            if table is None:
                 continue
             seen.add(action.dest)
             choices = tuple(action.choices or ())
-            if choices != registry.names():
+            if choices != tuple(table):
                 problems.append(
                     f"CLI '{command} --{action.dest.replace('_', '-')}' choices {choices} "
-                    f"!= {registry.kind} registry {registry.names()}"
+                    f"!= {action.dest} table {tuple(table)}"
                 )
         model_action = next((a for a in subparser._actions if a.dest == "model"), None)
         if model_action is not None and tuple(model_action.choices or ()) != tuple(MODEL_NAMES):
             problems.append(f"CLI '{command} --model' choices drifted from MODEL_NAMES")
-    missing = set(CLI_REGISTRY_KNOBS) - seen
+    missing = set(CLI_STRATEGY_KNOBS) - seen
     if missing:
-        problems.append(f"no CLI flag exposes the registry-backed knob(s): {sorted(missing)}")
-    return problems
-
-
-def check_config_snapshots() -> list:
-    """The legacy ``*_CHOICES`` tuples still mirror the registries."""
-    problems = []
-    for attr, registry in CONFIG_SNAPSHOTS.items():
-        snapshot = getattr(config_module, attr, None)
-        if snapshot != registry.names():
-            problems.append(
-                f"repro.core.config.{attr} == {snapshot!r} != {registry.kind} "
-                f"registry {registry.names()!r}"
-            )
+        problems.append(f"no CLI flag exposes the strategy knob(s): {sorted(missing)}")
     return problems
 
 
@@ -220,7 +201,6 @@ def main() -> int:
     problems = (
         check_exports()
         + check_cli_choices()
-        + check_config_snapshots()
         + check_extraction_lockstep()
         + check_service_lockstep()
         + check_ops_lockstep()
@@ -230,11 +210,10 @@ def main() -> int:
             print(problem, file=sys.stderr)
         print(f"\n{len(problems)} API-surface problem(s)", file=sys.stderr)
         return 1
-    n_knobs = len(CLI_REGISTRY_KNOBS)
+    n_knobs = len(CLI_STRATEGY_KNOBS)
     print(
         f"ok: {len(repro.__all__)} exports import, {n_knobs} CLI strategy knobs "
-        "match their registries, config snapshots consistent, extraction "
-        "prune/warm-start defaults in lockstep, serve flags match "
+        "match their tables, extraction prune/warm-start defaults in lockstep, serve flags match "
         "ServiceConfig, OPS registry / serializer / ONNX importer / CLI in lockstep"
     )
     return 0
