@@ -13,6 +13,10 @@ from repro.egraph.scheduler import SCHEDULERS
 __all__ = ["TensatConfig"]
 
 
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TensatConfig:
     """All knobs of the TENSAT pipeline.
@@ -92,10 +96,18 @@ class TensatConfig:
             value = getattr(self, knob)
             if value not in table:
                 raise ValueError(f"unknown {knob} {value!r}; available: {', '.join(table)}")
-        if self.node_limit <= 0 or self.iter_limit <= 0:
-            raise ValueError("node_limit and iter_limit must be positive")
-        if self.k_multi < 0:
-            raise ValueError("k_multi must be non-negative")
+        # A float or bool count would run silently (2.5 nodes, True
+        # iterations), and a string would fail later with a bare TypeError.
+        for knob, low in (
+            ("node_limit", 1),
+            ("iter_limit", 1),
+            ("k_multi", 0),
+            ("scheduler_match_limit", 0),
+            ("scheduler_ban_length", 0),
+        ):
+            value = getattr(self, knob)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{knob} must be an int >= {low}, got {value!r}")
         if (
             self.cycle_filter == "none"
             and self.extraction == "ilp"
@@ -109,8 +121,11 @@ class TensatConfig:
         # unbounded, and the runner's ``elapsed > nan`` is never true.
         for knob in ("exploration_time_limit", "ilp_time_limit"):
             limit = getattr(self, knob)
-            if not (math.isfinite(limit) and limit > 0):
+            if not (_is_real(limit) and math.isfinite(limit) and limit > 0):
                 raise ValueError(f"{knob} must be positive and finite, got {limit!r}")
+        gap = self.ilp_mip_gap
+        if not (_is_real(gap) and math.isfinite(gap) and gap >= 0):
+            raise ValueError(f"ilp_mip_gap must be finite and >= 0, got {gap!r}")
         cap = self.max_multi_combinations
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
             raise ValueError(f"max_multi_combinations must be None or an int >= 0, got {cap!r}")

@@ -28,6 +28,9 @@ class OptimizationStats:
     search_seconds: float = 0.0
     apply_seconds: float = 0.0
     rebuild_seconds: float = 0.0
+    #: Time spent in the cycle filter's per-iteration pre-pass (the
+    #: descendants map for the efficient filter), outside the three phases.
+    cycle_prefilter_seconds: float = 0.0
     #: Time spent joining multi-pattern per-source matches into combinations
     #: (a sub-span of the search phase; 0.0 when no multi-pattern rule ran).
     multi_join_seconds: float = 0.0
@@ -72,6 +75,7 @@ class OptimizationStats:
             search_seconds=sum(it.search_seconds for it in iterations),
             apply_seconds=sum(it.apply_seconds for it in iterations),
             rebuild_seconds=sum(it.rebuild_seconds for it in iterations),
+            cycle_prefilter_seconds=sum(it.prefilter_seconds for it in iterations),
             multi_join_seconds=sum(it.multi_join_seconds for it in iterations),
             condition_seconds=sum(it.condition_seconds for it in iterations),
             exploration_iterations=report.num_iterations,
@@ -88,6 +92,7 @@ class OptimizationStats:
             "search_seconds": round(self.search_seconds, 4),
             "apply_seconds": round(self.apply_seconds, 4),
             "rebuild_seconds": round(self.rebuild_seconds, 4),
+            "cycle_prefilter_seconds": round(self.cycle_prefilter_seconds, 4),
             "multi_join_seconds": round(self.multi_join_seconds, 4),
             "condition_seconds": round(self.condition_seconds, 4),
             "extraction_seconds": round(self.extraction_seconds, 4),

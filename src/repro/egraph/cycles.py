@@ -31,6 +31,7 @@ from repro.egraph.language import ENode
 
 __all__ = [
     "FilterList",
+    "Descendants",
     "descendants_map",
     "would_create_cycle",
     "reaches",
@@ -102,10 +103,32 @@ def _children_of_class(egraph: EGraph, eclass_id: int, filtered: FrozenSet[ENode
     return children
 
 
-def descendants_map(
-    egraph: EGraph, filter_list: Optional[FilterList] = None
-) -> Dict[int, Set[int]]:
-    """Map every e-class to the set of e-classes reachable through unfiltered e-nodes.
+@dataclass(frozen=True)
+class Descendants:
+    """Per-iteration reachability relation over dense e-class indices.
+
+    ``index`` numbers the e-classes the pass visited; bit ``index[d]`` of
+    ``bits[index[c]]`` is set when ``d`` is reachable from ``c``.  One Python
+    int per class keeps the relation under about ``classes**2 / 8`` bytes, where
+    one ``set`` per class grew to 137 MB at 3.9k classes.  A class that is
+    not indexed (created after the pass) reaches nothing and is reached by
+    nothing.
+    """
+
+    index: Dict[int, int] = field(default_factory=dict)
+    bits: List[int] = field(default_factory=list)
+
+    def reaches(self, source: int, target: int) -> bool:
+        """Did ``target`` lie below ``source`` when the pass ran (canonical ids)?"""
+        row = self.index.get(source)
+        column = self.index.get(target)
+        if row is None or column is None:
+            return False
+        return bool(self.bits[row] >> column & 1)
+
+
+def descendants_map(egraph: EGraph, filter_list: Optional[FilterList] = None) -> Descendants:
+    """Map every e-class to the e-classes reachable through unfiltered e-nodes.
 
     One pass over the e-graph (iterative DFS with memoisation).  If the
     e-graph happens to contain cycles (possible mid-iteration before the
@@ -115,39 +138,43 @@ def descendants_map(
     sound approximation exactly as the paper describes.
     """
     filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
-    desc: Dict[int, Set[int]] = {}
-    state: Dict[int, int] = {}  # 0 = unvisited, 1 = on stack, 2 = done
+    index: Dict[int, int] = {}
+    bits: List[int] = []
+    done = bytearray()  # by dense index; indexed but not done = on the stack
 
     for start in egraph.eclass_ids():
         start = egraph.find(start)
-        if state.get(start, 0) == 2:
+        if start in index:
             continue
-        stack: List[Tuple[int, Iterable[int]]] = [(start, iter(_children_of_class(egraph, start, filtered)))]
-        state[start] = 1
-        desc.setdefault(start, set())
+        index[start] = len(bits)
+        bits.append(0)
+        done.append(0)
+        stack: List[Tuple[int, Iterable[int]]] = [
+            (index[start], iter(_children_of_class(egraph, start, filtered)))
+        ]
         while stack:
-            cls, it = stack[-1]
+            row, it = stack[-1]
             advanced = False
             for child in it:
-                desc[cls].add(child)
-                child_state = state.get(child, 0)
-                if child_state == 0:
-                    state[child] = 1
-                    desc.setdefault(child, set())
-                    stack.append((child, iter(_children_of_class(egraph, child, filtered))))
+                column = index.get(child)
+                if column is None:
+                    column = index[child] = len(bits)
+                    bits.append(0)
+                    done.append(0)
+                    stack.append((column, iter(_children_of_class(egraph, child, filtered))))
                     advanced = True
-                    break
-                if child_state == 2:
-                    desc[cls] |= desc[child]
+                    break  # ``row`` gains the child's bits when it finishes
+                bits[row] |= 1 << column
+                if done[column]:
+                    bits[row] |= bits[column]
                 # child on stack (cycle): skip, handled by post-processing
             if not advanced:
-                state[cls] = 2
+                done[row] = 1
                 stack.pop()
                 if stack:
                     parent = stack[-1][0]
-                    desc[parent].add(cls)
-                    desc[parent] |= desc[cls]
-    return desc
+                    bits[parent] |= (1 << row) | bits[row]
+    return Descendants(index, bits)
 
 
 def reaches(
@@ -178,7 +205,7 @@ def would_create_cycle(
     egraph: EGraph,
     matched_eclasses: Sequence[int],
     leaf_eclasses: Sequence[int],
-    desc: Dict[int, Set[int]],
+    desc: Descendants,
 ) -> bool:
     """Pre-filter check (Algorithm 2, ``WillCreateCycle``).
 
@@ -193,7 +220,7 @@ def would_create_cycle(
         m = egraph.find(m)
         for leaf in leaf_eclasses:
             leaf = egraph.find(leaf)
-            if leaf == m or m in desc.get(leaf, ()):
+            if leaf == m or desc.reaches(leaf, m):
                 return True
     return False
 
@@ -340,13 +367,19 @@ class VanillaCycleFilter(CycleFilter):
 
 
 class EfficientCycleFilter(CycleFilter):
-    """Descendants-map pre-filter + DFS post-processing (paper Algorithm 2)."""
+    """Descendants-map pre-filter + DFS post-processing (paper Algorithm 2).
+
+    The map lives from ``begin_iteration`` to ``end_iteration`` only: the old
+    map is dropped before the new one is built, so two maps never coexist,
+    and none is held across iterations or into extraction.
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self._descendants: Dict[int, Set[int]] = {}
+        self._descendants = Descendants()
 
     def begin_iteration(self, egraph: EGraph) -> None:
+        self._descendants = Descendants()
         self.filter_list.refresh(egraph)
         self._descendants = descendants_map(egraph, self.filter_list)
 
@@ -354,6 +387,7 @@ class EfficientCycleFilter(CycleFilter):
         return not would_create_cycle(egraph, matched_eclasses, leaf_eclasses, self._descendants)
 
     def end_iteration(self, egraph: EGraph) -> int:
+        self._descendants = Descendants()
         return _postprocess(egraph, self.filter_list)
 
 

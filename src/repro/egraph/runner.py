@@ -106,6 +106,9 @@ class IterationReport:
     search_seconds: float = 0.0
     apply_seconds: float = 0.0
     rebuild_seconds: float = 0.0
+    #: Time spent in the cycle filter's pre-pass (``begin_iteration``; the
+    #: descendants map for the efficient filter), before the search phase.
+    prefilter_seconds: float = 0.0
     #: Time spent joining multi-pattern per-source matches into combinations
     #: (a sub-span of ``search_seconds``; 0.0 when no multi rules ran).
     multi_join_seconds: float = 0.0
@@ -371,7 +374,9 @@ class Runner:
         report.full_search = delta is None
         report.n_delta_classes = -1 if delta is None else len(delta)
 
+        t_prefilter = time.perf_counter()
         self.cycle_filter.begin_iteration(self.egraph)
+        report.prefilter_seconds = time.perf_counter() - t_prefilter
 
         # --- search phase: every rule matched against the frozen e-graph --- #
         t_search = time.perf_counter()

@@ -109,7 +109,8 @@ def _coerce_override(name: str, value: object, reference: object) -> object:
             return value.lower() in ("true", "1")
         raise RequestError("config", f"config field {name!r} expects a boolean, got {value!r}")
     if isinstance(reference, int) and not isinstance(reference, bool):
-        if isinstance(value, bool):
+        # int() would truncate 2.5 to 2 and run with a value nobody sent.
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise RequestError("config", f"config field {name!r} expects an integer, got {value!r}")
         try:
             return int(value)

@@ -15,12 +15,23 @@ function:
 each rule's condition-filtered match count on the frozen e-graph with the
 references only, and asserts at ``on_iteration_end`` that the runner's
 ``on_match_batch`` counts are identical, rule for rule and in order.
+
+The cycle filter's bitset descendants map
+(:func:`~repro.egraph.cycles.descendants_map`) has the set-per-class map it
+replaced as its reference: :func:`descendants_sets` builds it, and
+:class:`CycleFilterParity` asks both on every ``allows`` call.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.egraph.cycles import (
+    Descendants,
+    EfficientCycleFilter,
+    FilterList,
+    _children_of_class,
+)
 from repro.egraph.ematch import naive_search_pattern
 
 
@@ -96,3 +107,96 @@ class OracleParityObserver:
         )
         self.iterations_checked += 1
         self.total_matches += sum(n for _, n in self._expected)
+
+
+def descendants_sets(egraph, filter_list: Optional[FilterList] = None) -> Dict[int, Set[int]]:
+    """The set-per-class descendants map: the reference for the bitset one.
+
+    Same iterative DFS with memoisation, and the same mid-cycle semantics: a
+    child still on the stack contributes itself but not its descendants.
+    Memory grows as O(classes**2) Python set entries.
+    """
+    filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
+    desc: Dict[int, Set[int]] = {}
+    state: Dict[int, int] = {}  # 0 = unvisited, 1 = on stack, 2 = done
+
+    for start in egraph.eclass_ids():
+        start = egraph.find(start)
+        if state.get(start, 0) == 2:
+            continue
+        stack: List[Tuple[int, Iterable[int]]] = [(start, iter(_children_of_class(egraph, start, filtered)))]
+        state[start] = 1
+        desc.setdefault(start, set())
+        while stack:
+            cls, it = stack[-1]
+            advanced = False
+            for child in it:
+                desc[cls].add(child)
+                child_state = state.get(child, 0)
+                if child_state == 0:
+                    state[child] = 1
+                    desc.setdefault(child, set())
+                    stack.append((child, iter(_children_of_class(egraph, child, filtered))))
+                    advanced = True
+                    break
+                if child_state == 2:
+                    desc[cls] |= desc[child]
+            if not advanced:
+                state[cls] = 2
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    desc[parent].add(cls)
+                    desc[parent] |= desc[cls]
+    return desc
+
+
+def would_create_cycle_sets(egraph, matched_eclasses, leaf_eclasses, desc: Dict[int, Set[int]]) -> bool:
+    """``would_create_cycle`` over the set-per-class map."""
+    for m in matched_eclasses:
+        m = egraph.find(m)
+        for leaf in leaf_eclasses:
+            leaf = egraph.find(leaf)
+            if leaf == m or m in desc.get(leaf, ()):
+                return True
+    return False
+
+
+def decode(desc: Descendants) -> Dict[int, Set[int]]:
+    """The bitset map as one set of reachable class ids per indexed class.
+
+    ``index`` hands out dense indices in insertion order, so its key list,
+    read by position, maps a column back to its class id.
+    """
+    ids = list(desc.index)
+    return {
+        cls: {ids[column] for column in range(len(ids)) if desc.bits[row] >> column & 1}
+        for cls, row in desc.index.items()
+    }
+
+
+class CycleFilterParity(EfficientCycleFilter):
+    """The efficient filter, asserting the set map gives every verdict it gives."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._sets: Dict[int, Set[int]] = {}
+        #: ``allows`` calls checked, and how many of them refused.
+        self.calls = 0
+        self.refused = 0
+
+    def begin_iteration(self, egraph) -> None:
+        super().begin_iteration(egraph)
+        self._sets = descendants_sets(egraph, self.filter_list)
+
+    def allows(self, egraph, matched_eclasses, leaf_eclasses) -> bool:
+        verdict = super().allows(egraph, matched_eclasses, leaf_eclasses)
+        reference = not would_create_cycle_sets(egraph, matched_eclasses, leaf_eclasses, self._sets)
+        assert verdict == reference, (list(matched_eclasses), list(leaf_eclasses), verdict)
+        self.calls += 1
+        self.refused += not verdict
+        return verdict
+
+    def end_iteration(self, egraph) -> int:
+        self._sets = {}
+        return super().end_iteration(egraph)

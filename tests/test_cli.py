@@ -95,13 +95,11 @@ class TestCommands:
         assert set(payload) == STATS_KEYS
         assert payload["enodes"] > 0
         # The phase breakdown of exploration time is part of the JSON contract.
-        for key in ("search_seconds", "apply_seconds", "rebuild_seconds"):
+        phases = ("cycle_prefilter_seconds", "search_seconds", "apply_seconds", "rebuild_seconds")
+        for key in phases:
             assert key in payload
             assert payload[key] >= 0
-        assert (
-            payload["search_seconds"] + payload["apply_seconds"] + payload["rebuild_seconds"]
-            <= payload["exploration_seconds"] + 1e-6
-        )
+        assert sum(payload[key] for key in phases) <= payload["exploration_seconds"] + 1e-6
 
     def test_optimize_with_engine_knobs(self, capsys):
         code = main(

@@ -33,6 +33,7 @@ STATS_KEYS = {
     "search_seconds",
     "apply_seconds",
     "rebuild_seconds",
+    "cycle_prefilter_seconds",
     "multi_join_seconds",
     "condition_seconds",
     "extraction_seconds",
@@ -131,6 +132,39 @@ class TestTensatConfig:
     def test_invalid_max_multi_combinations_rejected(self, cap):
         with pytest.raises(ValueError, match="max_multi_combinations"):
             TensatConfig(max_multi_combinations=cap)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("node_limit", 2.5),
+            ("node_limit", True),
+            ("node_limit", float("inf")),
+            ("node_limit", "5"),
+            ("iter_limit", "5"),
+            ("iter_limit", 5.0),
+            ("k_multi", 1.5),
+            ("k_multi", False),
+            ("scheduler_match_limit", -1),
+            ("scheduler_match_limit", 10.5),
+            ("scheduler_ban_length", -1),
+            ("ilp_mip_gap", -0.1),
+            ("ilp_mip_gap", float("nan")),
+            ("ilp_mip_gap", float("inf")),
+            ("ilp_mip_gap", "0.1"),
+            ("ilp_time_limit", "5"),
+        ],
+    )
+    def test_invalid_counts_and_gap_rejected(self, knob, value):
+        # Each of these used to run silently or fail with a bare TypeError.
+        with pytest.raises(ValueError, match=knob):
+            TensatConfig(**{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("k_multi", 0), ("scheduler_match_limit", 0), ("scheduler_ban_length", 0), ("ilp_mip_gap", 0), ("ilp_mip_gap", 0.05)],
+    )
+    def test_boundary_counts_and_gap_accepted(self, knob, value):
+        assert getattr(TensatConfig(**{knob: value}), knob) == value
 
     @pytest.mark.parametrize("cap", [None, 0, 50])
     def test_valid_max_multi_combinations_accepted(self, cap):

@@ -1,7 +1,14 @@
 """Tests for cycle detection and the two cycle-filtering strategies."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from oracle_parity import CycleFilterParity, decode, descendants_sets
+
+from repro.core.config import TensatConfig
+from repro.core.session import OptimizationSession
 from repro.egraph.cycles import (
     CYCLE_FILTERS,
+    Descendants,
     EfficientCycleFilter,
     FilterList,
     NoCycleFilter,
@@ -16,6 +23,7 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
 from repro.egraph.multipattern import MultiPatternRewrite
 from repro.egraph.runner import Runner, RunnerLimits
+from repro.models import build_model
 
 
 def figure3_egraph():
@@ -42,9 +50,10 @@ class TestReachability:
         desc = descendants_map(eg)
         a = eg.add_term("a")
         g = eg.add_term("(g a)")
-        assert a in desc[eg.find(root)]
-        assert g in desc[eg.find(root)]
-        assert desc[eg.find(a)] == set()
+        assert desc.reaches(eg.find(root), a)
+        assert desc.reaches(eg.find(root), g)
+        assert decode(desc)[eg.find(a)] == set()
+        assert desc.bits[desc.index[eg.find(a)]] == 0
 
     def test_reaches(self):
         eg = EGraph()
@@ -74,6 +83,98 @@ class TestReachability:
         f_node = ENode("f", (eg.find(a),))
         flist.add(eg, f_node)
         assert not reaches(eg, root, a, flist)
+
+
+class TestBitsetParity:
+    """The bitset descendants map against the set-per-class map it replaced."""
+
+    @staticmethod
+    def assert_same_relation(eg, flist=None):
+        desc = descendants_map(eg, flist)
+        reference = descendants_sets(eg, flist)
+        assert decode(desc) == reference
+        return desc
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_class_graphs(self, data):
+        eg = EGraph()
+        ids = [eg.add(ENode(f"v{i}")) for i in range(data.draw(st.integers(1, 4)))]
+        for _ in range(data.draw(st.integers(0, 12))):
+            op = data.draw(st.sampled_from(["f", "g", "h"]))
+            children = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3)))
+            ids.append(eg.add(ENode(op, children)))
+        # Unions between a class and one of its ancestors close cycles.
+        for a, b in data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3)):
+            eg.union(a, b)
+        eg.rebuild()
+        self.assert_same_relation(eg)
+        nodes = sorted({eg.canonicalize(n) for c in eg.eclass_ids() for n in eg[c].nodes}, key=str)
+        flist = FilterList()
+        for node in data.draw(st.lists(st.sampled_from(nodes), max_size=3)):
+            flist.add(eg, node)
+        self.assert_same_relation(eg, flist)
+
+    def test_self_loop(self):
+        eg = EGraph()
+        a = eg.add_term("a")
+        eg.union(a, eg.add_term("(f a)"))
+        eg.rebuild()
+        desc = self.assert_same_relation(eg)
+        assert desc.reaches(eg.find(a), eg.find(a))
+
+    def test_two_cycle_through_unions(self):
+        eg = EGraph()
+        a, b = eg.add_term("a"), eg.add_term("b")
+        eg.union(a, eg.add_term("(f b)"))
+        eg.union(b, eg.add_term("(g a)"))
+        eg.rebuild()
+        self.assert_same_relation(eg)
+        flist = FilterList()
+        flist.add(eg, ENode("f", (eg.find(b),)))
+        desc = self.assert_same_relation(eg, flist)
+        assert not desc.reaches(eg.find(a), eg.find(b))
+
+    def test_figure3_with_and_without_filter_list(self):
+        eg, inner, root, rule = figure3_egraph()
+        for combo in rule.search(eg):
+            rule.apply_match(eg, combo)
+        eg.rebuild()
+        self.assert_same_relation(eg)
+        flist = FilterList()
+        resolve_cycles(eg, flist, find_cycles(eg))
+        assert len(flist) >= 1
+        self.assert_same_relation(eg, flist)
+
+    def test_unindexed_class_reaches_nothing(self):
+        eg = EGraph()
+        a = eg.add_term("a")
+        desc = descendants_map(eg)
+        new = eg.add_term("(f a)")  # created after the pass
+        assert not desc.reaches(new, a)
+        assert not desc.reaches(a, new)
+        assert Descendants().reaches(a, a) is False
+
+    @pytest.mark.parametrize("model", ["nasrnn", "nasnet", "bert", "squeezenet"])
+    def test_same_verdicts_on_every_allows_call(self, model, monkeypatch):
+        monkeypatch.setitem(CYCLE_FILTERS, "efficient", CycleFilterParity)
+        session = OptimizationSession(build_model(model, "tiny"), config=TensatConfig(extraction="greedy"))
+        session.explore()
+        cycle_filter = session.cycle_filter
+        assert isinstance(cycle_filter, CycleFilterParity)
+        assert cycle_filter.calls > 0
+        if model == "squeezenet":
+            # The model whose exploration refuses matches and fills the filter list.
+            assert cycle_filter.refused > 0
+            assert len(cycle_filter.filter_list) > 0
+
+    def test_map_is_released_between_iterations(self):
+        eg, inner, root, rule = figure3_egraph()
+        cycle_filter = EfficientCycleFilter()
+        cycle_filter.begin_iteration(eg)
+        assert cycle_filter._descendants.index
+        cycle_filter.end_iteration(eg)
+        assert cycle_filter._descendants.index == {}
 
 
 class TestCycleDetection:

@@ -231,6 +231,14 @@ class TestRequestCore:
         ("max_multi_combinations", 2.5),
         ("exploration_time_limit", "nan"),
         ("exploration_time_limit", -1),
+        ("node_limit", 2.5),
+        ("node_limit", True),
+        ("node_limit", float("inf")),
+        ("k_multi", 1.5),
+        ("ilp_mip_gap", -1),
+        ("ilp_mip_gap", "nan"),
+        ("scheduler_match_limit", -1),
+        ("scheduler_ban_length", -1),
     ])
     def test_out_of_range_config_value_is_config_error(self, field, value):
         # Unvalidated, "abc" / 2.5 crash the runner (an ``internal`` error)

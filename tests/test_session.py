@@ -177,6 +177,8 @@ class TestStats:
         ):
             assert getattr(result.stats, timer) == sum(getattr(it, timer) for it in iterations)
         assert result.stats.multi_join_seconds > 0.0  # k_multi=1 ran the join
+        assert result.stats.cycle_prefilter_seconds == sum(it.prefilter_seconds for it in iterations)
+        assert result.stats.cycle_prefilter_seconds > 0.0  # the efficient filter built its map
 
 
 class TestOptimizeMany:
